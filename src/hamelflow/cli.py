@@ -6,7 +6,9 @@ Identical config and seed produce byte-identical summaries.
 
 Exit codes: 0 success, 2 invalid configuration, 3 the fixed-point
 iteration left the contraction regime or hit its step limit (diagnostics
-are still written), 1 unexpected I/O failure.
+are still written), 4 a mode solve failed its boundary or moment identity
+(`BoundaryError`; the summary records the error), 1 unexpected I/O
+failure.
 """
 
 from __future__ import annotations
@@ -22,7 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from .background import HamelParameters
-from .errors import AdmissibilityError, ContractionError, IterationError, TailError
+from .errors import (
+    AdmissibilityError,
+    BoundaryError,
+    ContractionError,
+    IterationError,
+    TailError,
+)
 from .forcing import FAMILIES, build_family
 from .grid import RadialGrid
 from .nonlinear import (
@@ -41,6 +49,7 @@ log = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_CONTRACTION = 3
+EXIT_BOUNDARY = 4
 
 
 @dataclass
@@ -198,6 +207,11 @@ def run(config: RunConfig) -> int:
         _dump_summary(out_dir, summary)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONTRACTION
+    except BoundaryError as exc:
+        summary["error"] = str(exc)
+        _dump_summary(out_dir, summary)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BOUNDARY
 
     g_norm, f_norm = forcing.norms(params.rho)
     summary["picard"] = diag.as_dict()

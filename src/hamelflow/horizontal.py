@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .background import HamelParameters
-from .errors import AdmissibilityError, BoundaryError
+from .errors import BoundaryError
 from .grid import RadialGrid
 from .profiles import (
     EnvelopeTail,
@@ -97,16 +97,6 @@ class HorizontalSolutionMode:
         )
         out.checks = structural_checks(out)
         return out
-
-
-def _require_envelope(forcing: HorizontalForcingMode, params: HamelParameters):
-    bound = -(2 * params.rho - 1) if forcing.pointwise is not None else -2 * (params.rho - 1)
-    got = forcing.envelope_exponent()
-    if got > bound + 1e-9:
-        kind = "pointwise" if forcing.pointwise is not None else "divergence"
-        raise AdmissibilityError(
-            f"{kind} forcing envelope exponent {got} must be <= {bound}"
-        )
 
 
 def _solution_tail(grid, exponent, values):

@@ -4,15 +4,14 @@ the fixed-point iteration.
 One application of the map T solves every angular mode of the linearized
 system with forcing g + div(-w (x) w + F).  Because the data is
 independent of the axial variable, the third row of the tensor w (x) w
-never enters any divergence; it is computed for bookkeeping and dropped
-with a logged note.  The iteration v <- T(v) is monitored empirically:
-three consecutive non-contracting steps abort the run, which is the
-checkable shadow of the smallness hypothesis of the underlying theory.
+never enters any divergence and is not formed.  The iteration v <- T(v)
+is monitored empirically: three consecutive non-contracting steps abort
+the run, which is the checkable shadow of the smallness hypothesis of
+the underlying theory.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -33,10 +32,7 @@ from .profiles import (
     weighted_sup_norm,
 )
 
-log = logging.getLogger(__name__)
-
 TENSOR_KEYS = ("rr", "rt", "r3", "tr", "tt", "t3")
-_DROPPED_KEYS = ("3r", "3t", "33")
 _COMP = {"r": 0, "t": 1, "3": 2}
 
 
@@ -228,8 +224,8 @@ def tensor_convolution(v: VelocityField, w: VelocityField) -> dict:
     """Mode family of the tensor product (v (x) w), truncated to the cutoff.
 
     Returns {n: {key: ModeProfile}} over the six tensor slots that can
-    enter a divergence of z-independent data.  The (3r, 3t, 33) row is
-    evaluated and discarded.
+    enter a divergence of z-independent data; the (3r, 3t, 33) row is not
+    formed.
     """
     if v.cutoff != w.cutoff:
         raise ValueError("cutoff mismatch between convolution operands")
@@ -240,10 +236,8 @@ def tensor_convolution(v: VelocityField, w: VelocityField) -> dict:
     nzero = np.zeros(grid.n_nodes, dtype=complex)
 
     out = {}
-    dropped_scale = 0.0
     for n in range(-N, N + 1):
         acc = {key: nzero.copy() for key in TENSOR_KEYS}
-        dropped = {key: nzero.copy() for key in _DROPPED_KEYS}
         exps = {key: -np.inf for key in TENSOR_KEYS}
         for m in range(-N, N + 1):
             k = n - m
@@ -256,10 +250,6 @@ def tensor_convolution(v: VelocityField, w: VelocityField) -> dict:
             for key in TENSOR_KEYS:
                 acc[key] += vm[_COMP[key[0]]] * wk[_COMP[key[1]]]
                 exps[key] = max(exps[key], ev + ew)
-            for key in _DROPPED_KEYS:
-                dropped[key] += vm[_COMP[key[0]]] * wk[_COMP[key[1]]]
-        dropped_scale = max(dropped_scale,
-                            max(float(np.max(np.abs(x))) for x in dropped.values()))
         prof = {}
         for key in TENSOR_KEYS:
             if np.all(acc[key] == 0):
@@ -270,9 +260,6 @@ def tensor_convolution(v: VelocityField, w: VelocityField) -> dict:
                 tail = ZERO_TAIL
             prof[key] = ModeProfile(acc[key], n, key, grid, tail)
         out[n] = prof
-    log.debug("tensor convolution: third row (3r,3t,33) computed and dropped; "
-              "max magnitude %.3e (z-independent data has no axial divergence)",
-              dropped_scale)
     return out
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .background import HamelParameters
-from .errors import AdmissibilityError
 from .grid import RadialGrid
 from .profiles import EnvelopeTail, ModeProfile, cum_right_full, full_moment
 from .spectral import compute_coefficients
@@ -60,16 +59,6 @@ class VerticalSolutionMode:
                                    self.dv_3 + other.dv_3)
         out.checks = structural_checks(out)
         return out
-
-
-def _require_envelope(forcing: VerticalForcingMode, params: HamelParameters):
-    bound = -(2 * params.rho - 1) if forcing.pointwise is not None else -2 * (params.rho - 1)
-    got = forcing.envelope_exponent()
-    if got > bound + 1e-9:
-        kind = "pointwise" if forcing.pointwise is not None else "divergence"
-        raise AdmissibilityError(
-            f"{kind} forcing envelope exponent {got} must be <= {bound}"
-        )
 
 
 def _tail(grid, exponent, values):

@@ -121,3 +121,13 @@ def test_non_contraction_exit_with_diagnostics(tmp_path, capsys):
 
 def test_main_entrypoint_config_error(capsys):
     assert cli.main(["--gamma", "1.0"]) == cli.EXIT_CONFIG
+
+
+def test_boundary_error_exit_with_summary(tmp_path, capsys):
+    # the CLI defaults at r_max = 100 fail mode -1's moment identity
+    out = tmp_path / "out"
+    assert cli.main(["--r-max", "100", "--output-dir", str(out)]) == cli.EXIT_BOUNDARY
+    assert "moment residual" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert "moment residual" in summary["error"]
+    assert summary["config"]["r_max"] == 100.0

@@ -66,6 +66,68 @@ def test_cum_right_closed_form(grid):
     assert np.max(np.abs(out - exact)) < 5e-13
 
 
+@pytest.mark.parametrize("c", [-1.0, -2.0])
+def test_cum_right_negative_exponent_closed_form(grid, c):
+    # the scan's carry factor exp(-c D) exceeds 1 here
+    a = -3.5
+    r = grid.r_nodes
+    out = grid.cum_right(c, r ** a)
+    exact = r ** c * (grid.r_max ** (a - c + 1) - r ** (a - c + 1)) / (a - c + 1)
+    assert np.max(np.abs(out - exact)) < 1e-12 * np.max(np.abs(exact))
+
+
+# An 8-point rule resolves (s/r)^c across a panel of log width D only while
+# |c| D is moderate: here |c| D = 20 and 54, and the measured relative errors
+# are 1.0e-4 and 5.5e-2.
+@pytest.mark.parametrize("c,rtol", [(110.0, 3e-4), (300.0 + 4.0j, 0.1)])
+def test_cum_kernels_large_exponent_finite(c, rtol):
+    g = RadialGrid.build(64, 8, 1e5)
+    a = -3.0
+    lr = np.log(g.r_nodes)
+    with np.errstate(over="raise", invalid="raise"):
+        left = g.cum_left(c, g.r_nodes ** a)
+        right = g.cum_right(c, g.r_nodes ** a)
+    exact_left = (np.exp((a + 1) * lr) - np.exp(-c * lr)) / (c + a + 1)
+    log_rmax = np.log(g.r_max)
+    exact_right = (np.exp((a + 1) * lr)
+                   - np.exp(c * (lr - log_rmax) + (a + 1) * log_rmax)) / (c - a - 1)
+    for out, exact in ((left, exact_left), (right, exact_right)):
+        assert np.all(np.isfinite(out))
+        assert np.all(np.abs(out - exact) <= rtol * np.abs(exact))
+
+
+def dense_cum(grid, c, values, left):
+    """The direct M x P sum over full panels plus the node's partial panel."""
+    t = grid._tables
+    h = grid.gauss_values(np.asarray(values, dtype=complex))
+    lr = t["log_r"][:, None]
+    sgn = 1.0 if left else -1.0
+    edge = t["log_edges"][1:] if left else t["log_edges"][:-1]
+    panel = np.sum(grid.weights_gauss * np.exp(sgn * c * (t["log_nodes"] - edge[:, None])) * h,
+                   axis=1)
+    r, e = grid.r_nodes[:, None], grid.edges[None, :]
+    full = e[:, 1:] <= r if left else e[:, :-1] >= r
+    E = np.exp(np.where(full, sgn * c * (edge[None, :] - lr), -np.inf))
+    side = "l" if left else "r"
+    hy = np.einsum("mkj,mj->mk", t[f"part_{side}_S"], h[t["panel_of_node"]])
+    phase = np.exp(sgn * c * (t[f"log_part_{side}"] - lr))
+    return E @ panel + np.sum(t[f"part_{side}_w"] * phase * hy, axis=1)
+
+
+@pytest.mark.parametrize("panels", [1, 2, 8, 64])
+@pytest.mark.parametrize("r_max", [1e2, 1e3, 1e5])
+def test_cum_scan_matches_dense(panels, r_max):
+    g = RadialGrid.build(panels, 8, r_max)
+    rng = np.random.default_rng(panels)
+    h = (rng.standard_normal(g.n_nodes) + 1j * rng.standard_normal(g.n_nodes)) * g.r_nodes ** -2.3
+    cases = [(c, left) for c in (0.0, 1.0, 2.5 + 0.3j, 66.0 + 3.0j) for left in (True, False)]
+    cases += [(-1.0, False), (-2.0, False)]
+    for c, left in cases:
+        ref = dense_cum(g, complex(c), h, left)
+        out = g.cum_left(c, h) if left else g.cum_right(c, h)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref)), (c, left)
+
+
 def test_integrate_clipped_polynomial_exact(grid):
     val = grid.integrate_clipped(lambda s: s ** 3, 2.0, 5.0)
     assert abs(val - (5.0 ** 4 - 2.0 ** 4) / 4.0) < 1e-11

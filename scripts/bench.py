@@ -36,6 +36,8 @@ from hamelflow.nonlinear import VelocityField, apply_T
 KERNEL_PANELS = (64, 128, 256, 512)
 APPLY_T_CUTOFFS = (2, 8, 16)
 KERNEL_EXPONENT = 3.0 + 1.0j
+K_KERNEL = 7    # timed calls per kernel figure
+K_APPLY_T = 5   # timed calls per apply_T figure
 
 
 def median_seconds(fn, k):
@@ -94,8 +96,6 @@ def main():
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", required=True, help="JSON file to create or merge into")
     ap.add_argument("--label", required=True, help="key of this run, e.g. parent or change")
-    ap.add_argument("--k", type=int, default=7, help="timed calls per kernel figure")
-    ap.add_argument("--k-apply", type=int, default=5, help="timed calls per apply_T figure")
     args = ap.parse_args()
 
     run = {
@@ -104,9 +104,9 @@ def main():
         "python": platform.python_version(),
         "cores": os.cpu_count(),
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
-        "k": args.k,
-        "k_apply": args.k_apply,
-        "results": kernel_rows(args.k) + apply_T_rows(args.k_apply),
+        "k": K_KERNEL,
+        "k_apply": K_APPLY_T,
+        "results": kernel_rows(K_KERNEL) + apply_T_rows(K_APPLY_T),
     }
     for row in run["results"]:
         where = f"P={row['panels']}" if "cutoff" not in row else f"N={row['cutoff']}"

@@ -84,10 +84,10 @@ def apply_T_rows(k):
         forcing = build_family("power", grid, params, 1.0e-3,
                                coefficients={n: 1.0 for n in range(cutoff + 1)},
                                cutoff=cutoff)
-        w = apply_T(VelocityField.zero(grid, cutoff), forcing, params, grid, threads=1)
+        w = apply_T(VelocityField.zero(grid, cutoff), forcing, params, grid)
         rows.append({"kernel": "apply_T", "cutoff": cutoff, "panels": grid.panels,
                      "median_s": median_seconds(
-                         lambda: apply_T(w, forcing, params, grid, threads=1), k)})
+                         lambda: apply_T(w, forcing, params, grid), k)})
     return rows
 
 

@@ -40,9 +40,7 @@ from .profiles import (
     EnvelopeTail,
     ModeProfile,
     PowerSum,
-    PowerTail,
     WeightedNormReport,
-    ZeroTail,
     integrate_weighted,
     l1_weighted_norm,
     weighted_sup_norm,

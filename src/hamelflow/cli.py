@@ -36,7 +36,6 @@ from .grid import RadialGrid
 from .nonlinear import (
     PicardDiagnostics,
     compute_lambda,
-    default_threads,
     picard_iterate,
     reconstruct_u,
     x_norm,
@@ -68,7 +67,6 @@ class RunConfig:
     coefficients: dict = field(default_factory=lambda: {0: 1.0, 1: 1.0})
     seed: int = 0
     output_dir: str = "out"
-    threads: int | None = None
     family_options: dict = field(default_factory=dict)
 
     def validate(self) -> HamelParameters:
@@ -103,7 +101,7 @@ def parse_config(argv=None) -> RunConfig:
     for name, typ in (("alpha", float), ("gamma", float), ("rho", float),
                       ("mode-cutoff", int), ("panels", int), ("gauss-order", int),
                       ("r-max", float), ("max-iter", int), ("tol", float),
-                      ("epsilon", float), ("seed", int), ("threads", int)):
+                      ("epsilon", float), ("seed", int)):
         ap.add_argument(f"--{name}", type=typ, default=None)
     ap.add_argument("--family", type=str, default=None,
                     help=f"forcing family: {', '.join(FAMILIES)}")
@@ -132,7 +130,7 @@ def parse_config(argv=None) -> RunConfig:
                        ("gauss_order", "gauss_order"), ("r_max", "r_max"),
                        ("max_iter", "max_iter"), ("tol", "tol"),
                        ("epsilon", "epsilon"), ("seed", "seed"),
-                       ("threads", "threads"), ("family", "family"),
+                       ("family", "family"),
                        ("output_dir", "output_dir")):
         value = getattr(ns, flag)
         if value is not None:
@@ -185,7 +183,6 @@ def run(config: RunConfig) -> int:
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    threads = config.threads if config.threads is not None else default_threads()
 
     summary = {
         "config": {
@@ -199,8 +196,7 @@ def run(config: RunConfig) -> int:
 
     try:
         fieldv, diag = picard_iterate(forcing, params, grid,
-                                      max_iter=config.max_iter, tol=config.tol,
-                                      threads=threads)
+                                      max_iter=config.max_iter, tol=config.tol)
     except (ContractionError, IterationError) as exc:
         summary["picard"] = exc.diagnostics.as_dict() if exc.diagnostics else {}
         summary["error"] = str(exc)

@@ -146,13 +146,7 @@ class RadialGrid:
         bw = _barycentric_weights(xi)
 
         # panel index of every node; endpoints use sentinels -1 / P
-        node_panel = np.empty(M, dtype=int)
-        node_slot = np.empty(M, dtype=int)
-        node_panel[0], node_slot[0] = -1, -1
-        node_panel[-1], node_slot[-1] = P, -1
-        for j in range(1, M - 1):
-            node_panel[j] = (j - 1) // G
-            node_slot[j] = (j - 1) % G
+        node_panel = np.concatenate(([-1], np.arange(M - 2) // G, [P]))
 
         # sub-rules on [0, xi_i] and [xi_i, 1] of the reference panel
         subl_nodes = xi[:, None] * xi[None, :]               # (G, G)
@@ -164,18 +158,14 @@ class RadialGrid:
 
         widths = np.diff(self.edges)
         # gathered per-node partial-rule tables; endpoint rows stay zero
-        part_l_nodes = np.zeros((M, G))
         part_l_w = np.zeros((M, G))
-        part_r_nodes = np.zeros((M, G))
         part_r_w = np.zeros((M, G))
         part_l_S = np.zeros((M, G, G))
         part_r_S = np.zeros((M, G, G))
         interior = slice(1, M - 1)
         pm = node_panel[interior]
-        sl = node_slot[interior]
-        part_l_nodes[interior] = self.edges[pm, None] + widths[pm, None] * subl_nodes[sl]
+        sl = np.arange(M - 2) % G  # slot of each interior node in its panel
         part_l_w[interior] = widths[pm, None] * subl_w[sl]
-        part_r_nodes[interior] = self.edges[pm, None] + widths[pm, None] * subr_nodes[sl]
         part_r_w[interior] = widths[pm, None] * subr_w[sl]
         part_l_S[interior] = SL[sl]
         part_r_S[interior] = SR[sl]
@@ -185,14 +175,13 @@ class RadialGrid:
         log_r = np.log(self.r_nodes)
         log_part_l = np.repeat(log_r[:, None], G, axis=1)
         log_part_r = log_part_l.copy()
-        log_part_l[interior] = np.log(part_l_nodes[interior])
-        log_part_r[interior] = np.log(part_r_nodes[interior])
+        log_part_l[interior] = np.log(self.edges[pm, None] + widths[pm, None] * subl_nodes[sl])
+        log_part_r[interior] = np.log(self.edges[pm, None] + widths[pm, None] * subr_nodes[sl])
 
         panel_of_node = np.clip(node_panel, 0, P - 1)
 
         return {
             "xi": xi, "wq": wq, "bary": bw,
-            "node_panel": node_panel, "node_slot": node_slot,
             "panel_of_node": panel_of_node,
             # edge closing the full panels left of a node / opening those right of it
             "left_edge": np.clip(node_panel, 0, P),
@@ -201,8 +190,8 @@ class RadialGrid:
             "log_widths": np.diff(np.log(self.edges)),
             "log_nodes": np.log(self.nodes_gauss),
             "log_r": log_r,
-            "part_l_nodes": part_l_nodes, "part_l_w": part_l_w, "part_l_S": part_l_S,
-            "part_r_nodes": part_r_nodes, "part_r_w": part_r_w, "part_r_S": part_r_S,
+            "part_l_w": part_l_w, "part_l_S": part_l_S,
+            "part_r_w": part_r_w, "part_r_S": part_r_S,
             "log_part_l": log_part_l, "log_part_r": log_part_r,
             "diff_ref": _diff_matrix(xi, bw),
         }
@@ -219,10 +208,6 @@ class RadialGrid:
         if v.shape[-1] != self.n_nodes:
             raise ValueError("values not aligned with grid nodes")
         return v[..., 1:-1].reshape(v.shape[:-1] + (self.panels, self.gauss_order))
-
-    def sample(self, fn) -> np.ndarray:
-        """Evaluate a callable at every node."""
-        return np.asarray(fn(self.r_nodes))
 
     # -- plain quadrature ----------------------------------------------------
 

@@ -31,12 +31,10 @@ from .background import HamelParameters
 from .errors import BoundaryError
 from .grid import RadialGrid
 from .profiles import (
-    EnvelopeTail,
     ModeProfile,
-    PowerTail,
-    ZERO_TAIL,
-    ZeroTail,
+    PowerSum,
     cum_right_full,
+    envelope_tail,
     full_moment,
 )
 from .spectral import compute_coefficients
@@ -99,54 +97,33 @@ class HorizontalSolutionMode:
         return out
 
 
-def _solution_tail(grid, exponent, values):
-    return EnvelopeTail(exponent, complex(values[-1]), grid.r_max)
-
-
 # -- exact tails of the kernel integrals for power-law data ----------------
 
 def _left_kernel_tail(grid, c, values, tail):
-    """Tail of s^{-c} int_1^s u^c h(u) du when h has an exact (or zero) tail."""
-    inner = grid.node_moment(c, values)
-    terms = [(inner, -c)]
-    if isinstance(tail, PowerTail):
-        for coef, expo in tail.terms:
-            p = c + expo + 1.0
-            if abs(p) < _DEGENERATE:
-                return None
-            terms.append((coef / p, expo + 1.0))
-            terms.append((-coef * grid.r_max ** p / p, -c))
-    elif not isinstance(tail, ZeroTail):
+    """Tail of s^{-c} int_1^s u^c h(u) du when h has an exact tail."""
+    if not isinstance(tail, PowerSum):
         return None
-    return PowerTail.of(*terms)
+    terms = [(grid.node_moment(c, values), -c)]
+    for coef, expo in tail.terms:
+        p = c + expo + 1.0
+        if abs(p) < _DEGENERATE:
+            return None
+        terms.append((coef / p, expo + 1.0))
+        terms.append((-coef * grid.r_max ** p / p, -c))
+    return PowerSum(terms)
 
 
-def _right_kernel_tail(grid, c, tail):
-    """Tail of s^{c} int_s^inf u^{-c} h(u) du for exact or zero h-tails."""
-    if isinstance(tail, ZeroTail):
-        return PowerTail.of()
-    if isinstance(tail, PowerTail):
-        terms = []
-        for coef, expo in tail.terms:
-            d = c - expo - 1.0
-            if d.real <= 0.0:
-                return None
-            terms.append((coef / d, expo + 1.0))
-        return PowerTail.of(*terms)
-    return None
-
-
-def _combine(coeffs_profiles):
-    """Linear combination of profiles: returns (values, tail)."""
-    base = coeffs_profiles[0][1]
-    values = np.zeros(base.grid.n_nodes, dtype=complex)
-    tail = ZERO_TAIL
-    for coef, p in coeffs_profiles:
-        if coef == 0:
-            continue
-        values = values + coef * p.values
-        tail = tail + p.tail.scaled(coef)
-    return values, tail
+def _right_kernel_tail(c, tail):
+    """Tail of s^{c} int_s^inf u^{-c} h(u) du when h has an exact tail."""
+    if not isinstance(tail, PowerSum):
+        return None
+    terms = []
+    for coef, expo in tail.terms:
+        d = c - expo - 1.0
+        if d.real <= 0.0:
+            return None
+        terms.append((coef / d, expo + 1.0))
+    return PowerSum(terms)
 
 
 # -- axisymmetric part ------------------------------------------------------
@@ -187,9 +164,9 @@ def solve_axisymmetric(forcing: HorizontalForcingMode, params: HamelParameters,
     sol = HorizontalSolutionMode(
         mode=0,
         v_r=zero,
-        v_t=ModeProfile(v, 0, "t", grid, _solution_tail(grid, env, v)),
+        v_t=ModeProfile(v, 0, "t", grid, envelope_tail(grid, env, v)),
         dv_r=ModeProfile.zeros(grid, 0, "r"),
-        dv_t=ModeProfile(dv, 0, "t", grid, _solution_tail(grid, env - 1.0, dv)),
+        dv_t=ModeProfile(dv, 0, "t", grid, envelope_tail(grid, env - 1.0, dv)),
     )
     sol.checks = structural_checks(sol)
     return sol
@@ -211,56 +188,51 @@ def compute_vorticity_mode(n: int, forcing: HorizontalForcingMode,
     if forcing.divergence is not None:
         f_rr, f_rt, f_tr, f_tt = forcing.divergence
         two_zeta = 2.0 * zeta
-        g1_vals, g1_tail = _combine([
-            (1j * n * (beta - 1.0) / two_zeta, f_rr),
-            (beta * (beta - 1.0) / two_zeta, f_rt),
-            (-(beta - n * n) / two_zeta, f_tr),
-            (-1j * n * (beta - 1.0) / two_zeta, f_tt),
-        ])
-        g2_vals, g2_tail = _combine([
-            (-1j * n * (delta + 1.0) / two_zeta, f_rr),
-            (delta * (delta + 1.0) / two_zeta, f_rt),
-            ((delta + n * n) / two_zeta, f_tr),
-            (1j * n * (delta + 1.0) / two_zeta, f_tt),
-        ])
+        g1 = (f_rr.scaled(1j * n * (beta - 1.0) / two_zeta)
+              + f_rt.scaled(beta * (beta - 1.0) / two_zeta)
+              + f_tr.scaled(-(beta - n * n) / two_zeta)
+              + f_tt.scaled(-1j * n * (beta - 1.0) / two_zeta))
+        g2 = (f_rr.scaled(-1j * n * (delta + 1.0) / two_zeta)
+              + f_rt.scaled(delta * (delta + 1.0) / two_zeta)
+              + f_tr.scaled((delta + n * n) / two_zeta)
+              + f_tt.scaled(1j * n * (delta + 1.0) / two_zeta))
         phi = (-f_rt.values
-               + grid.cum_left(beta - 1.0, g1_vals) / r
-               + cum_right_full(grid, delta + 1.0, g2_vals, g2_tail) / r)
-        lt = _left_kernel_tail(grid, beta - 1.0, g1_vals, g1_tail)
-        rt = _right_kernel_tail(grid, delta + 1.0, g2_tail)
+               + grid.cum_left(beta - 1.0, g1.values) / r
+               + cum_right_full(grid, delta + 1.0, g2.values, g2.tail) / r)
+        lt = _left_kernel_tail(grid, beta - 1.0, g1.values, g1.tail)
+        rt = _right_kernel_tail(delta + 1.0, g2.tail)
         if lt is not None and rt is not None:
             phi_tail = (f_rt.tail.scaled(-1.0)
                         + lt.times_power(-1.0) + rt.times_power(-1.0))
         else:
             env = max(forcing.envelope_exponent(), -(sc.xi + hg))
-            phi_tail = EnvelopeTail(env, complex(phi[-1]), grid.r_max)
+            phi_tail = envelope_tail(grid, env, phi)
         input_env = forcing.envelope_exponent()
     else:
         f_r, f_t = forcing.pointwise
-        hl_vals, hl_tail = _combine([(1j * n, f_r), (beta, f_t)])
-        hr_vals, hr_tail = _combine([(-1j * n, f_r), (delta, f_t)])
-        phi = (-grid.cum_left(beta, hl_vals)
-               + cum_right_full(grid, delta, hr_vals, hr_tail)) / (2.0 * zeta)
-        lt = _left_kernel_tail(grid, beta, hl_vals, hl_tail)
-        rt = _right_kernel_tail(grid, delta, hr_tail)
+        hl = f_r.scaled(1j * n) + f_t.scaled(beta)
+        hr = f_r.scaled(-1j * n) + f_t.scaled(delta)
+        phi = (-grid.cum_left(beta, hl.values)
+               + cum_right_full(grid, delta, hr.values, hr.tail)) / (2.0 * zeta)
+        lt = _left_kernel_tail(grid, beta, hl.values, hl.tail)
+        rt = _right_kernel_tail(delta, hr.tail)
         if lt is not None and rt is not None:
             phi_tail = (lt.scaled(-1.0) + rt).scaled(1.0 / (2.0 * zeta))
         else:
             env = max(forcing.envelope_exponent() + 1.0, -(sc.xi + hg))
-            phi_tail = EnvelopeTail(env, complex(phi[-1]), grid.r_max)
+            phi_tail = envelope_tail(grid, env, phi)
         input_env = forcing.envelope_exponent() + 1.0
 
     a_n = float(abs(n))
     c_n = -(zeta + a_n + hg - 2.0) * full_moment(grid, 1.0 - a_n, phi, phi_tail)
     omega_vals = phi + c_n * np.exp(-(zeta + hg) * np.log(r))
-    omega_tail = phi_tail + PowerTail.of((c_n, -(zeta + hg)))
+    omega_tail = phi_tail + PowerSum.of((c_n, -(zeta + hg)))
     omega = ModeProfile(omega_vals, n, "omega", grid, omega_tail)
     omega_env = max(input_env, -(sc.xi + hg))
     return omega, complex(c_n), omega_env
 
 
-def biot_savart(n: int, omega: ModeProfile, moment_tol: float = MOMENT_TOL,
-                envelope_hint: float | None = None):
+def biot_savart(n: int, omega: ModeProfile, envelope_hint: float | None = None):
     """Velocity mode recovered from its vorticity profile.
 
     Requires the |n|-th inverse moment of omega to cancel; otherwise the
@@ -273,10 +245,10 @@ def biot_savart(n: int, omega: ModeProfile, moment_tol: float = MOMENT_TOL,
     a_n = float(abs(n))
     moment = full_moment(grid, 1.0 - a_n, omega.values, omega.tail)
     scale = _abs_moment(grid, 1.0 - a_n, omega)
-    if scale > 0 and abs(moment) > moment_tol * scale:
+    if scale > 0 and abs(moment) > MOMENT_TOL * scale:
         raise BoundaryError(
             f"boundary condition violated: moment residual {abs(moment) / scale:.3e} "
-            f"exceeds {moment_tol:.1e} for mode {n}"
+            f"exceeds {MOMENT_TOL:.1e} for mode {n}"
         )
 
     cl = grid.cum_left(a_n + 1.0, omega.values)
@@ -293,7 +265,7 @@ def biot_savart(n: int, omega: ModeProfile, moment_tol: float = MOMENT_TOL,
         env_omega = max(env_omega, envelope_hint)
     env = max(env_omega + 1.0, -(a_n + 1.0))
     mk = lambda vals, tag, e: ModeProfile(vals, n, tag, grid,
-                                          _solution_tail(grid, e, vals))
+                                          envelope_tail(grid, e, vals))
     return (mk(v_r, "r", env), mk(v_t, "t", env),
             mk(dv_r, "r", env - 1.0), mk(dv_t, "t", env - 1.0),
             abs(moment) / scale if scale > 0 else 0.0)
@@ -303,12 +275,12 @@ def _abs_moment(grid, a, profile):
     base = float(np.real(grid.node_moment(a, np.abs(profile.values))))
     tail = profile.tail
     extra = 0.0
-    if isinstance(tail, PowerTail):
+    if isinstance(tail, PowerSum):
         for coef, expo in tail.terms:
             p = a + expo.real
             if p < -1.0:
                 extra += abs(coef) * grid.r_max ** (p + 1) / (-p - 1)
-    elif isinstance(tail, EnvelopeTail):
+    else:  # EnvelopeTail
         p = a + tail.exponent
         if p < -1.0:
             extra += abs(tail.anchor) * grid.r_max ** (a + 1.0) / (-p - 1)

@@ -12,8 +12,6 @@ the underlying theory.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,23 +22,16 @@ from .background import HamelParameters, velocity, velocity_derivative
 from .errors import AdmissibilityError, ContractionError, IterationError
 from .grid import RadialGrid
 from .profiles import (
-    EnvelopeTail,
     ModeProfile,
-    PowerTail,
+    PowerSum,
     ZERO_TAIL,
+    envelope_tail,
     l1_weighted_norm,
     weighted_sup_norm,
 )
 
 TENSOR_KEYS = ("rr", "rt", "r3", "tr", "tt", "t3")
 _COMP = {"r": 0, "t": 1, "3": 2}
-
-
-def default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("HAMELFLOW_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +243,8 @@ def tensor_convolution(v: VelocityField, w: VelocityField) -> dict:
                 exps[key] = max(exps[key], ev + ew)
         prof = {}
         for key in TENSOR_KEYS:
-            if np.all(acc[key] == 0):
-                tail = ZERO_TAIL
-            elif np.isfinite(exps[key]):
-                tail = EnvelopeTail(exps[key], complex(acc[key][-1]), grid.r_max)
+            if np.isfinite(exps[key]) and np.any(acc[key]):
+                tail = envelope_tail(grid, exps[key], acc[key])
             else:
                 tail = ZERO_TAIL
             prof[key] = ModeProfile(acc[key], n, key, grid, tail)
@@ -327,26 +316,18 @@ def _solve_one_mode(n, forcing: ForcingSpec, quad_modes, params, grid):
     sol_v = parts_v[0] if parts_v else vt.zero_solution(n, grid)
     for extra in parts_v[1:]:
         sol_v = sol_v.add(extra)
-    return n, sol_h, sol_v
+    return sol_h, sol_v
 
 
 def apply_T(w: VelocityField, forcing: ForcingSpec, params: HamelParameters,
-            grid: RadialGrid, threads: int | None = None) -> VelocityField:
+            grid: RadialGrid) -> VelocityField:
     """One linearized solve with forcing g + div(-w (x) w + F)."""
-    threads = default_threads() if threads is None else max(1, threads)
     N = forcing.cutoff
     quad = tensor_convolution(w, w) if w.modes else None
 
     result = VelocityField(grid, N, {}, {})
-    mode_list = list(range(-N, N + 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(
-                lambda n: _solve_one_mode(n, forcing, quad, params, grid), mode_list))
-    else:
-        solved = [_solve_one_mode(n, forcing, quad, params, grid) for n in mode_list]
-
-    for n, sol_h, sol_v in solved:
+    for n in range(-N, N + 1):
+        sol_h, sol_v = _solve_one_mode(n, forcing, quad, params, grid)
         result.modes[n] = (sol_h.v_r, sol_h.v_t, sol_v.v_3)
         result.dmodes[n] = (sol_h.dv_r, sol_h.dv_t, sol_v.dv_3)
     return result
@@ -379,8 +360,7 @@ class PicardDiagnostics:
 
 
 def picard_iterate(forcing: ForcingSpec, params: HamelParameters, grid: RadialGrid,
-                   max_iter: int = 50, tol: float = 1e-10,
-                   threads: int | None = None):
+                   max_iter: int = 50, tol: float = 1e-10):
     """Iterate v <- T(v) from zero until the X-norm difference drops below
     tol relative to the first iterate.
 
@@ -392,7 +372,7 @@ def picard_iterate(forcing: ForcingSpec, params: HamelParameters, grid: RadialGr
     diag = PicardDiagnostics(forcing_norm=g_norm + f_norm)
 
     current = VelocityField.zero(grid, forcing.cutoff)
-    first = apply_T(current, forcing, params, grid, threads)
+    first = apply_T(current, forcing, params, grid)
     d0 = field_diff_norm(first, current, params.rho)
     diag.iterate_norms.append(x_norm(first, params.rho))
     diag.difference_norms.append(d0)
@@ -407,7 +387,7 @@ def picard_iterate(forcing: ForcingSpec, params: HamelParameters, grid: RadialGr
     d_prev = d0
     bad_streak = 0
     for k in range(1, max_iter):
-        nxt = apply_T(current, forcing, params, grid, threads)
+        nxt = apply_T(current, forcing, params, grid)
         d = field_diff_norm(nxt, current, params.rho)
         q = d / d_prev if d_prev > 0 else 0.0
         diag.iterations = k + 1
@@ -453,7 +433,7 @@ def with_background(fieldv: VelocityField, params: HamelParameters) -> VelocityF
     r = grid.r_nodes
     v_r, v_t, v_3 = velocity(params, r)
     dv_r, dv_t, dv_3 = velocity_derivative(params, r)
-    mk = lambda vals, tag, terms: ModeProfile(vals, 0, tag, grid, PowerTail.of(*terms))
+    mk = lambda vals, tag, terms: ModeProfile(vals, 0, tag, grid, PowerSum(terms))
     bg = (mk(v_r.astype(complex), "r", [(-params.gamma, -1.0)]),
           mk(v_t.astype(complex), "t", [(params.alpha, -1.0)]),
           mk(v_3.astype(complex), "3", []))

@@ -1,9 +1,15 @@
 """Radial mode profiles, power-law tails, and weighted decay norms.
 
 A profile stores complex values at the grid nodes together with a tail
-model describing it beyond r_max.  Forcing data built from closed-form
-power laws carries an exact tail; everything produced by a solve or a
-product of solves carries an envelope tail anchored at the r_max value.
+model describing it beyond r_max.  A tail is either exact or an
+envelope.  Exact tails are `PowerSum`s: forcing data built from
+closed-form power laws, the kernel tails of such data, and the empty
+sum `ZERO_TAIL` of compactly supported data.  Everything produced by a
+solve or a product of solves carries an `EnvelopeTail` anchored at the
+r_max value (built by `envelope_tail`); adding an exact tail to an
+envelope folds it into the envelope.  Both kinds evaluate by call and
+share `scaled`, `+`, `moment`, `right_integral_scaled` and
+`slowest_exponent`.
 """
 
 from __future__ import annotations
@@ -18,153 +24,12 @@ from .grid import RadialGrid
 _MERGE_TOL = 1e-12
 
 
-class ZeroTail:
-    """Identically zero beyond r_max (compactly supported data)."""
-
-    def eval(self, s):
-        return np.zeros_like(np.asarray(s, dtype=complex))
-
-    def scaled(self, k):
-        return self
-
-    def __add__(self, other):
-        return other
-
-    __radd__ = __add__
-
-    def moment(self, a, r_max):
-        return 0.0 + 0.0j
-
-    def right_integral_scaled(self, c, log_r, r_max):
-        return np.zeros_like(np.asarray(log_r, dtype=complex))
-
-    def slowest_exponent(self):
-        return -np.inf
-
-
-@dataclass(frozen=True)
-class PowerTail:
-    """Exact power sum sum_t coef_t s^{expo_t} valid for s >= r_max."""
-
-    terms: tuple  # of (coef complex, expo complex)
-
-    @staticmethod
-    def of(*terms):
-        merged = {}
-        for coef, expo in terms:
-            key = complex(expo)
-            hit = next((k for k in merged if abs(k - key) < _MERGE_TOL), None)
-            if hit is None:
-                merged[key] = complex(coef)
-            else:
-                merged[hit] += complex(coef)
-        kept = tuple((c, e) for e, c in merged.items() if c != 0)
-        return PowerTail(terms=kept)
-
-    def eval(self, s):
-        s = np.asarray(s, dtype=complex)
-        out = np.zeros_like(s)
-        for coef, expo in self.terms:
-            out = out + coef * s ** expo
-        return out
-
-    def scaled(self, k):
-        return PowerTail(tuple((coef * k, expo) for coef, expo in self.terms))
-
-    def times_power(self, p):
-        return PowerTail(tuple((coef, expo + p) for coef, expo in self.terms))
-
-    def __add__(self, other):
-        if isinstance(other, ZeroTail):
-            return self
-        if isinstance(other, PowerTail):
-            return PowerTail.of(*(self.terms + other.terms))
-        return other.__add__(self)
-
-    __radd__ = __add__
-
-    def moment(self, a, r_max):
-        """int_{r_max}^inf s^a * tail(s) ds, exact."""
-        total = 0.0 + 0.0j
-        for coef, expo in self.terms:
-            p = complex(a) + expo
-            if p.real >= -1.0:
-                raise TailError(
-                    f"non-integrable tail: exponent {p} of s^a*tail has Re >= -1"
-                )
-            total += -coef * r_max ** (p + 1) / (p + 1)
-        return total
-
-    def right_integral_scaled(self, c, log_r, r_max):
-        """r^c int_{r_max}^inf s^{-c} tail(s) ds at radii exp(log_r)."""
-        c = complex(c)
-        out = np.zeros_like(np.asarray(log_r, dtype=complex))
-        lmax = np.log(r_max)
-        for coef, expo in self.terms:
-            d = c - expo - 1.0
-            if d.real <= 0.0:
-                raise TailError(
-                    f"non-integrable tail: exponent {expo - c} beyond r_max has Re >= -1"
-                )
-            out = out + coef * r_max ** (expo + 1) / d * np.exp(c * (log_r - lmax))
-        return out
-
-    def slowest_exponent(self):
-        if not self.terms:
-            return -np.inf
-        return max(e.real for _, e in self.terms)
-
-
-@dataclass(frozen=True)
-class EnvelopeTail:
-    """Model tail anchor * (s/r_ref)^{exponent}, anchored at the value at r_ref."""
-
-    exponent: float
-    anchor: complex
-    r_ref: float
-
-    def _as_power(self):
-        return PowerTail.of((self.anchor * self.r_ref ** (-self.exponent), self.exponent))
-
-    def eval(self, s):
-        return self.anchor * (np.asarray(s, dtype=complex) / self.r_ref) ** self.exponent
-
-    def scaled(self, k):
-        return EnvelopeTail(self.exponent, self.anchor * k, self.r_ref)
-
-    def __add__(self, other):
-        if isinstance(other, ZeroTail):
-            return self
-        if isinstance(other, EnvelopeTail):
-            if other.r_ref != self.r_ref:
-                raise ValueError("envelope tails anchored at different radii")
-            return EnvelopeTail(max(self.exponent, other.exponent),
-                                self.anchor + other.anchor, self.r_ref)
-        if isinstance(other, PowerTail):
-            return EnvelopeTail(
-                max(self.exponent, other.slowest_exponent()),
-                self.anchor + complex(other.eval(self.r_ref)),
-                self.r_ref,
-            )
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def moment(self, a, r_max):
-        return self._as_power().moment(a, r_max)
-
-    def right_integral_scaled(self, c, log_r, r_max):
-        return self._as_power().right_integral_scaled(c, log_r, r_max)
-
-    def slowest_exponent(self):
-        return self.exponent
-
-
-ZERO_TAIL = ZeroTail()
-
-
 class PowerSum:
-    """Finite sum of complex power laws sum_t coef_t r^{expo_t} on [1, inf)."""
+    """Finite sum of complex power laws sum_t coef_t r^{expo_t} on [1, inf).
+
+    The one exact tail model: closed-form forcing data, the kernel tails of
+    such data, and the empty sum `ZERO_TAIL` of compactly supported data.
+    """
 
     __slots__ = ("terms",)
 
@@ -204,6 +69,8 @@ class PowerSum:
         return PowerSum([(coef * k, expo) for coef, expo in self.terms])
 
     def __add__(self, other):
+        if not isinstance(other, PowerSum):
+            return NotImplemented
         return PowerSum(self.terms + other.terms)
 
     def __sub__(self, other):
@@ -237,8 +104,74 @@ class PowerSum:
                 total += coef * (b ** p - a ** p) / p
         return total
 
-    def tail(self):
-        return PowerTail.of(*self.terms)
+    def moment(self, a, r_max):
+        """int_{r_max}^inf s^a * sum(s) ds, exact."""
+        return self.times_power(a).integral(r_max)
+
+    def right_integral_scaled(self, c, log_r, r_max):
+        """r^c int_{r_max}^inf s^{-c} sum(s) ds at radii exp(log_r)."""
+        c = complex(c)
+        out = np.zeros_like(np.asarray(log_r, dtype=complex))
+        lmax = np.log(r_max)
+        for coef, expo in self.terms:
+            d = c - expo - 1.0
+            if d.real <= 0.0:
+                raise TailError(
+                    f"non-integrable tail: exponent {expo - c} beyond r_max has Re >= -1"
+                )
+            out = out + coef * r_max ** (expo + 1) / d * np.exp(c * (log_r - lmax))
+        return out
+
+
+ZERO_TAIL = PowerSum.zero()
+
+
+@dataclass(frozen=True)
+class EnvelopeTail:
+    """Model tail anchor * (s/r_ref)^{exponent}, anchored at the value at r_ref."""
+
+    exponent: float
+    anchor: complex
+    r_ref: float
+
+    def _as_power(self):
+        return PowerSum.of((self.anchor * self.r_ref ** (-self.exponent), self.exponent))
+
+    def __call__(self, s):
+        return self.anchor * (np.asarray(s, dtype=complex) / self.r_ref) ** self.exponent
+
+    def scaled(self, k):
+        return EnvelopeTail(self.exponent, self.anchor * k, self.r_ref)
+
+    def __add__(self, other):
+        if isinstance(other, EnvelopeTail):
+            if other.r_ref != self.r_ref:
+                raise ValueError("envelope tails anchored at different radii")
+            return EnvelopeTail(max(self.exponent, other.exponent),
+                                self.anchor + other.anchor, self.r_ref)
+        if isinstance(other, PowerSum):
+            return EnvelopeTail(
+                max(self.exponent, other.slowest_exponent()),
+                self.anchor + complex(other(self.r_ref)),
+                self.r_ref,
+            )
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def moment(self, a, r_max):
+        return self._as_power().moment(a, r_max)
+
+    def right_integral_scaled(self, c, log_r, r_max):
+        return self._as_power().right_integral_scaled(c, log_r, r_max)
+
+    def slowest_exponent(self):
+        return self.exponent
+
+
+def envelope_tail(grid: RadialGrid, exponent: float, values) -> EnvelopeTail:
+    """Envelope tail of node data: the given exponent, anchored at the r_max value."""
+    return EnvelopeTail(exponent, complex(values[-1]), grid.r_max)
 
 
 @dataclass
@@ -258,7 +191,7 @@ class ModeProfile:
 
     @staticmethod
     def from_powersum(ps: PowerSum, grid: RadialGrid, mode: int = 0, tag: str = "r"):
-        return ModeProfile(ps(grid.r_nodes), mode, tag, grid, ps.tail())
+        return ModeProfile(ps(grid.r_nodes), mode, tag, grid, ps)
 
     @staticmethod
     def from_callable(fn, grid: RadialGrid, mode: int = 0, tag: str = "r", tail=ZERO_TAIL):
@@ -278,7 +211,7 @@ class ModeProfile:
         if np.any(inside):
             out[inside] = self.grid.interpolate(self.values, rq[inside])
         if np.any(~inside):
-            out[~inside] = self.tail.eval(rq[~inside])
+            out[~inside] = self.tail(rq[~inside])
         return out[0] if scalar else out
 
     def scaled(self, k):
@@ -343,14 +276,13 @@ def integrate_weighted(p, exponent: float, r_lo: float = 1.0, r_hi: float = np.i
         if np.isinf(r_hi):
             if envelope is None:
                 raise ValueError("callable integrand needs an envelope for an infinite tail")
-            anchor = complex(np.asarray(fn(np.array([grid.r_max])))[0])
-            tail = EnvelopeTail(envelope, anchor, grid.r_max)
+            tail = envelope_tail(grid, envelope, np.asarray(fn(np.array([grid.r_max]))))
         else:
             tail = ZERO_TAIL
 
     if np.isinf(r_hi):
         env = tail.slowest_exponent()
-        if exponent + env >= -1.0 and not isinstance(tail, ZeroTail):
+        if exponent + env >= -1.0:
             raise TailError(
                 f"non-integrable tail: exponent {exponent} + envelope {env} >= -1"
             )

@@ -20,9 +20,8 @@ import numpy as np
 
 from .background import HamelParameters
 from .grid import RadialGrid
-from .profiles import EnvelopeTail, ModeProfile, cum_right_full, full_moment
+from .profiles import ModeProfile, cum_right_full, envelope_tail, full_moment
 from .spectral import compute_coefficients
-from .horizontal import _combine  # same linear-combination helper
 
 
 @dataclass
@@ -61,10 +60,6 @@ class VerticalSolutionMode:
         return out
 
 
-def _tail(grid, exponent, values):
-    return EnvelopeTail(exponent, complex(values[-1]), grid.r_max)
-
-
 def solve_vertical_axisymmetric(forcing: VerticalForcingMode, params: HamelParameters,
                                 grid: RadialGrid) -> VerticalSolutionMode:
     if forcing.mode != 0:
@@ -89,8 +84,8 @@ def solve_vertical_axisymmetric(forcing: VerticalForcingMode, params: HamelParam
 
     sol = VerticalSolutionMode(
         mode=0,
-        v_3=ModeProfile(v, 0, "3", grid, _tail(grid, env, v)),
-        dv_3=ModeProfile(dv, 0, "3", grid, _tail(grid, env - 1.0, dv)),
+        v_3=ModeProfile(v, 0, "3", grid, envelope_tail(grid, env, v)),
+        dv_3=ModeProfile(dv, 0, "3", grid, envelope_tail(grid, env - 1.0, dv)),
     )
     sol.checks = structural_checks(sol)
     return sol
@@ -120,11 +115,11 @@ def solve_vertical_mode(forcing: VerticalForcingMode, params: HamelParameters,
         env = max(f.tail.slowest_exponent() + 2.0, -(sc.xi + hg))
     else:
         f_r3, f_t3 = forcing.divergence
-        k_in, k_in_tail = _combine([(-beta, f_r3), (1j * n, f_t3)])
-        k_out, k_out_tail = _combine([(delta, f_r3), (1j * n, f_t3)])
-        d_mom = full_moment(grid, -zeta + hg, k_out, k_out_tail)
-        cl = grid.cum_left(beta, k_in)
-        cr = cum_right_full(grid, delta, k_out, k_out_tail)
+        k_in = f_r3.scaled(-beta) + f_t3.scaled(1j * n)
+        k_out = f_r3.scaled(delta) + f_t3.scaled(1j * n)
+        d_mom = full_moment(grid, -zeta + hg, k_out.values, k_out.tail)
+        cl = grid.cum_left(beta, k_in.values)
+        cr = cum_right_full(grid, delta, k_out.values, k_out.tail)
         v = (-d_mom * np.exp(-beta * log_r) + cl + cr) / two_zeta
         dv = (beta * d_mom * np.exp((-beta - 1.0) * log_r)
               - beta * cl / r + delta * cr / r) / two_zeta - f_r3.values
@@ -132,8 +127,8 @@ def solve_vertical_mode(forcing: VerticalForcingMode, params: HamelParameters,
 
     sol = VerticalSolutionMode(
         mode=n,
-        v_3=ModeProfile(v, n, "3", grid, _tail(grid, env, v)),
-        dv_3=ModeProfile(dv, n, "3", grid, _tail(grid, env - 1.0, dv)),
+        v_3=ModeProfile(v, n, "3", grid, envelope_tail(grid, env, v)),
+        dv_3=ModeProfile(dv, n, "3", grid, envelope_tail(grid, env - 1.0, dv)),
     )
     sol.checks = structural_checks(sol)
     return sol

@@ -46,6 +46,14 @@ def test_invalid_parameters_exit_code(tmp_path, capsys, kw, fragment):
     assert fragment in err
 
 
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    # `threads` is no RunConfig field: the per-mode solves always run serially
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"threads": 2}))
+    assert cli.main(["--config", str(cfg_file)]) == cli.EXIT_CONFIG
+    assert "unknown config key 'threads'" in capsys.readouterr().err
+
+
 def test_unknown_family_lists_families(tmp_path, capsys):
     cfg, _ = run_cfg(tmp_path, family="vortex-soup")
     assert cli.run(cfg) == cli.EXIT_CONFIG
@@ -97,17 +105,6 @@ def test_byte_identical_summaries(tmp_path):
     first = (out_a / "summary.json").read_bytes()
     cli.run(cfg_a)
     assert (out_a / "summary.json").read_bytes() == first
-
-
-def test_thread_override_does_not_change_bytes(tmp_path, monkeypatch):
-    cfg_a, out_a = run_cfg(tmp_path)
-    cli.run(cfg_a)
-    base = (out_a / "summary.json").read_bytes()
-    monkeypatch.setenv("HAMELFLOW_THREADS", "3")
-    cfg_b, out_b = run_cfg(tmp_path)
-    cfg_b.output_dir = str(out_b) + "_threads"
-    cli.run(cfg_b)
-    assert (tmp_path / "out_threads" / "summary.json").read_bytes() == base
 
 
 def test_non_contraction_exit_with_diagnostics(tmp_path, capsys):

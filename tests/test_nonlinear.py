@@ -104,15 +104,6 @@ def test_T_quadratic_response(grid):
     assert abs(ratios[0] / ratios[1] - 1.0) < 0.02
 
 
-def test_threads_do_not_change_results(grid):
-    forcing = power_envelope_forcing(grid, PARAMS, 1e-3, {0: 1.0, 1: 1.0})
-    a = nl.apply_T(nl.VelocityField.zero(grid, 1), forcing, PARAMS, grid, threads=1)
-    b = nl.apply_T(nl.VelocityField.zero(grid, 1), forcing, PARAMS, grid, threads=4)
-    for n in a.modes:
-        for pa, pb in zip(a.modes[n], b.modes[n]):
-            assert np.array_equal(pa.values, pb.values)
-
-
 # -- fixed-point iteration -------------------------------------------------------
 
 def test_picard_zero_forcing(grid):

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from hamelflow.errors import TailError
 from hamelflow.profiles import (
+    ZERO_TAIL,
     EnvelopeTail,
     ModeProfile,
     PowerSum,
-    PowerTail,
+    envelope_tail,
     integrate_weighted,
     l1_weighted_norm,
     weighted_sup_norm,
@@ -119,16 +120,51 @@ def test_integrate_weighted_finite_interval(grid):
 def test_powersum_closed_form_integral():
     ps = PowerSum.of((2.0, -3.0), (1.0, -5.0))
     assert abs(ps.integral(1.0, np.inf) - (1.0 + 0.25)) < 1e-14
+    # the tail integrals beyond R = 50 of 2 s^-3 + i s^e
+    R, e = 50.0, -4.0 + 0.5j
+    ps = PowerSum.of((2.0, -3.0), (1j, e))
+    moment = 2.0 / R - 1j * R ** (e + 2.0) / (e + 2.0)            # weight s
+    assert abs(ps.moment(1.0, R) - moment) < 1e-14 * abs(moment)
+    r = np.array([1.0, 7.0, R])
+    right = r ** 2 * (R ** -4.0 / 2.0 + 1j * R ** (e - 1.0) / (1.0 - e))  # c = 2
+    out = ps.right_integral_scaled(2.0, np.log(r), R)
+    assert np.max(np.abs(out - right)) < 1e-14 * np.max(np.abs(right))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: PowerSum.of((1.0, -0.5)).integral(1.0, np.inf),
+    lambda: PowerSum.of((1.0, -2.5)).moment(2.0, 10.0),       # s^{-1/2}
+    lambda: PowerSum.of((1.0, -2.5)).moment(1.5, 10.0),       # s^{-1}, the log case
+    lambda: PowerSum.of((1.0, -2.5)).right_integral_scaled(-2.0, np.zeros(2), 10.0),
+])
+def test_powersum_rejects_nonintegrable_tail(call):
     with pytest.raises(TailError, match="non-integrable tail"):
-        PowerSum.of((1.0, -0.5)).integral(1.0, np.inf)
+        call()
+
+
+def test_empty_powersum_is_the_zero_tail(grid):
+    assert ModeProfile.zeros(grid).tail.terms == ZERO_TAIL.terms == ()
+    assert ZERO_TAIL.slowest_exponent() == -np.inf
+    assert ZERO_TAIL.scaled(3.0).terms == ()
+    assert ZERO_TAIL.moment(-5.0, grid.r_max) == 0.0
+    assert np.array_equal(ZERO_TAIL.right_integral_scaled(-5.0, np.zeros(3), grid.r_max),
+                          np.zeros(3, dtype=complex))
+    power = PowerSum.of((2.0, -3.0))
+    env = EnvelopeTail(-2.0, 1.0 + 0.5j, grid.r_max)
+    assert (ZERO_TAIL + power).terms == (power + ZERO_TAIL).terms == power.terms
+    assert ZERO_TAIL + env == env + ZERO_TAIL == env
 
 
 def test_tail_composition(grid):
-    power = PowerTail.of((2.0, -3.0))
+    power = PowerSum.of((2.0, -3.0))
     env = EnvelopeTail(-2.0, 1.0 + 0.0j, grid.r_max)
     combo = env + power
+    assert combo == power + env
     assert combo.exponent == -2.0
     assert abs(combo.anchor - (1.0 + 2.0 * grid.r_max ** -3.0)) < 1e-15
+    values = np.zeros(grid.n_nodes, dtype=complex)
+    values[-1] = 1.0
+    assert envelope_tail(grid, -2.0, values) == env
 
 
 def test_profile_point_evaluation_beyond_rmax(grid):

@@ -2,11 +2,14 @@
 """Kernel and solve-map timings, merged into a BENCH_<n>.json file.
 
 Times the scaled cumulative kernels `RadialGrid.cum_left`, `cum_right`
-and `node_moment` at P = 64, 128, 256, 512 panels (Gauss-8, r_max = 1e3),
-and one application of the Picard map `apply_T` at mode cutoffs
-N = 2, 8, 16 on the default 64-panel grid with every mode forced.  Each
-figure is the median of k calls timed with `time.perf_counter` after one
-untimed warm-up call; BLAS threads should be pinned to 1.
+and `node_moment` at P = 64, 128, 256, 512 panels (Gauss-8, r_max = 1e3);
+one horizontal (`solve_mode`) and one vertical (`solve_vertical_mode`)
+mode solve at n = 0, 1, 32, forced in divergence form by fixed power
+laws; and one application of the Picard map `apply_T` at mode cutoffs
+N = 2, 8, 16 with every mode forced.  The solves and `apply_T` run on
+the default grid (64 panels, Gauss-8, r_max = 1e3).  Each figure is the
+median of k calls timed with `time.perf_counter` after one untimed
+warm-up call; BLAS threads should be pinned to 1.
 
 The results are stored under `--label`, beside the numpy version, the
 core count and the commit of the hamelflow tree that was imported, so
@@ -31,12 +34,17 @@ import hamelflow
 from hamelflow.background import HamelParameters
 from hamelflow.forcing import build_family
 from hamelflow.grid import RadialGrid
+from hamelflow.horizontal import HorizontalForcingMode, solve_mode
 from hamelflow.nonlinear import VelocityField, apply_T
+from hamelflow.profiles import ModeProfile, PowerSum
+from hamelflow.vertical import VerticalForcingMode, solve_vertical_mode
 
 KERNEL_PANELS = (64, 128, 256, 512)
+SOLVE_MODES = (0, 1, 32)
 APPLY_T_CUTOFFS = (2, 8, 16)
 KERNEL_EXPONENT = 3.0 + 1.0j
 K_KERNEL = 7    # timed calls per kernel figure
+K_SOLVE = 7     # timed calls per mode-solve figure
 K_APPLY_T = 5   # timed calls per apply_T figure
 
 
@@ -76,6 +84,28 @@ def kernel_rows(k):
     return rows
 
 
+def solve_rows(k):
+    grid = RadialGrid.build()
+    params = HamelParameters(1.0, 4.0, 2.5)
+    rows = []
+    for n in SOLVE_MODES:
+        def power(coef, expo, tag):
+            return ModeProfile.from_powersum(PowerSum.of((coef, expo)), grid, n, tag)
+        zero = ModeProfile.zeros(grid, n, "0")
+        horizontal = HorizontalForcingMode(
+            n, divergence=(zero, power(1.0, -3.0, "rt"), power(0.5, -3.2, "tr"), zero))
+        vertical = VerticalForcingMode(
+            n, divergence=(power(1.0, -3.0, "r3"), power(0.5, -3.2, "t3")))
+        calls = {
+            "solve_mode": lambda: solve_mode(horizontal, params, grid),
+            "solve_vertical_mode": lambda: solve_vertical_mode(vertical, params, grid),
+        }
+        for name, fn in calls.items():
+            rows.append({"kernel": name, "mode": n, "panels": grid.panels,
+                         "median_s": median_seconds(fn, k)})
+    return rows
+
+
 def apply_T_rows(k):
     grid = RadialGrid.build(64, 8, 1.0e3)
     params = HamelParameters(1.0, 4.0, 2.5)
@@ -105,12 +135,14 @@ def main():
         "cores": os.cpu_count(),
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
         "k": K_KERNEL,
+        "k_solve": K_SOLVE,
         "k_apply": K_APPLY_T,
-        "results": kernel_rows(K_KERNEL) + apply_T_rows(K_APPLY_T),
+        "results": kernel_rows(K_KERNEL) + solve_rows(K_SOLVE) + apply_T_rows(K_APPLY_T),
     }
     for row in run["results"]:
-        where = f"P={row['panels']}" if "cutoff" not in row else f"N={row['cutoff']}"
-        print(f"{row['kernel']:12s} {where:6s} {1e3 * row['median_s']:10.3f} ms")
+        where = (f"N={row['cutoff']}" if "cutoff" in row
+                 else f"n={row['mode']}" if "mode" in row else f"P={row['panels']}")
+        print(f"{row['kernel']:19s} {where:6s} {1e3 * row['median_s']:10.3f} ms")
 
     path = Path(args.out)
     doc = json.loads(path.read_text()) if path.exists() else {"runs": {}}

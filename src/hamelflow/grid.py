@@ -19,9 +19,22 @@ All cumulative kernels are returned in prefactor-scaled form,
 Each kernel is one prefix scan over the panels, the recursive
 exponential-kernel summation of Greengard & Rokhlin (CPAM 44, 1991): the
 full panels on the integration side of a node are carried from edge to
-edge by S_k = exp(-c * D_k) * S_{k-1} + p_k, with D_k the log width of
-panel k and p_k its own scaled integral, and every node adds the partial
-integral over its own panel.  A kernel therefore costs O(M) for M nodes.
+edge by S_k = exp(-c * D) * S_{k-1} + p_k, with p_k panel k's own scaled
+integral, and every node adds the partial integral over its own panel.
+
+Self-similar tables.  The edges are geometric, edges[k] = r_max^{k/P}, so
+every panel has the log width D = log(r_max) / P and is its left edge a_k
+times one reference panel: width a_k * (e^D - 1), nodes a_k * rho_j.  Each
+ratio s/r that a kernel raises to the power c (node to panel edge,
+sub-rule point to node) thus depends on the slot and the sub-rule point,
+never on the panel.  Per exponent, a kernel forms one G-vector for the
+full panels and one G x G matrix A_c that folds each slot's sub-rule, its
+weights (s/r)^c and the Lagrange map of the panel interpolant together;
+the partial integrals of panel k are a_k * (h_k @ A_c^T).  A call costs
+O(G^3 + P G^2) arithmetic and O(P + G^2) exponentials (G^2 + G + 1 in
+cum_left and cum_right, P + G in node_moment), and the tables hold
+O(G^3) numbers whatever P is.  RadialGrid.build asserts the invariant
+they rest on: consecutive edge ratios equal e^D to 1e-13 relative.
 
 Exponent range.  Every factor formed has the shape (s/r)^{+-c} with s on
 the integration side of r.  For Re c >= 0, which cum_left expects, each
@@ -78,14 +91,14 @@ def _diff_matrix(x_nodes, bary_w):
 
 
 def _scan(decay, terms):
-    """Prefix recurrence s_k = decay_k * s_{k-1} + terms_k from s_{-1} = 0.
+    """Prefix recurrence s_k = decay * s_{k-1} + terms_k from s_{-1} = 0.
 
     Returns [0, s_0, ..., s_{P-1}], so entry k holds the terms before k.
     """
     out = np.empty(len(terms) + 1, dtype=complex)
     s = out[0] = 0j
-    for k, (q, p) in enumerate(zip(decay.tolist(), terms.tolist()), start=1):
-        s = out[k] = q * s + p
+    for k, p in enumerate(terms.tolist(), start=1):
+        s = out[k] = decay * s + p
     return out
 
 
@@ -100,6 +113,7 @@ class RadialGrid:
     nodes_gauss: np.ndarray    # (P, G) Gauss nodes per panel
     weights_gauss: np.ndarray  # (P, G) matching weights (sum = panel width)
     r_nodes: np.ndarray        # (M,) = [1, all Gauss nodes, r_max]
+    log_r: np.ndarray          # (M,) log of r_nodes
     # internal precomputed tables
     _tables: dict = field(repr=False, compare=False, default_factory=dict)
 
@@ -113,6 +127,11 @@ class RadialGrid:
             raise ValueError("r_max must exceed 1")
         edges = r_max ** (np.arange(panels + 1) / panels)
         edges[0], edges[-1] = 1.0, float(r_max)
+        # the kernels' reference tables hold for every panel only if the
+        # panels are one log width D apart
+        log_step = np.log(r_max) / panels
+        ratio = edges[1:] / edges[:-1]
+        assert np.all(np.abs(ratio / np.exp(log_step) - 1.0) <= 1e-13), "edges not geometric"
 
         x, w = leggauss(gauss_order)
         xi = 0.5 * (x + 1.0)          # reference nodes on [0, 1]
@@ -132,21 +151,21 @@ class RadialGrid:
             nodes_gauss=nodes,
             weights_gauss=weights,
             r_nodes=r_nodes,
+            log_r=np.log(r_nodes),
         )
-        grid._tables.update(grid._precompute(xi, wq))
+        grid._tables.update(grid._precompute(xi, wq, log_step))
         return grid
 
     def refined(self, factor: int = 2) -> "RadialGrid":
         """Same interval and rule order, `factor` times as many panels."""
         return RadialGrid.build(self.panels * factor, self.gauss_order, self.r_max)
 
-    def _precompute(self, xi, wq):
-        P, G = self.panels, self.gauss_order
-        M = len(self.r_nodes)
+    def _precompute(self, xi, wq, log_step):
+        G = self.gauss_order
         bw = _barycentric_weights(xi)
-
-        # panel index of every node; endpoints use sentinels -1 / P
-        node_panel = np.concatenate(([-1], np.arange(M - 2) // G, [P]))
+        # a panel with left edge a has width a * grow and nodes a * rho
+        grow = np.expm1(log_step)
+        log_rho = np.log1p(grow * xi)
 
         # sub-rules on [0, xi_i] and [xi_i, 1] of the reference panel
         subl_nodes = xi[:, None] * xi[None, :]               # (G, G)
@@ -156,43 +175,19 @@ class RadialGrid:
         SL = np.stack([_lagrange_matrix(xi, bw, subl_nodes[i]) for i in range(G)])
         SR = np.stack([_lagrange_matrix(xi, bw, subr_nodes[i]) for i in range(G)])
 
-        widths = np.diff(self.edges)
-        # gathered per-node partial-rule tables; endpoint rows stay zero
-        part_l_w = np.zeros((M, G))
-        part_r_w = np.zeros((M, G))
-        part_l_S = np.zeros((M, G, G))
-        part_r_S = np.zeros((M, G, G))
-        interior = slice(1, M - 1)
-        pm = node_panel[interior]
-        sl = np.arange(M - 2) % G  # slot of each interior node in its panel
-        part_l_w[interior] = widths[pm, None] * subl_w[sl]
-        part_r_w[interior] = widths[pm, None] * subr_w[sl]
-        part_l_S[interior] = SL[sl]
-        part_r_S[interior] = SR[sl]
-
-        # the endpoint rows carry zero weights; their log nodes are the
-        # row's own log r, so every phase there is exactly 1
-        log_r = np.log(self.r_nodes)
-        log_part_l = np.repeat(log_r[:, None], G, axis=1)
-        log_part_r = log_part_l.copy()
-        log_part_l[interior] = np.log(self.edges[pm, None] + widths[pm, None] * subl_nodes[sl])
-        log_part_r[interior] = np.log(self.edges[pm, None] + widths[pm, None] * subr_nodes[sl])
-
-        panel_of_node = np.clip(node_panel, 0, P - 1)
-
         return {
             "xi": xi, "wq": wq, "bary": bw,
-            "panel_of_node": panel_of_node,
-            # edge closing the full panels left of a node / opening those right of it
-            "left_edge": np.clip(node_panel, 0, P),
-            "right_edge": np.clip(node_panel + 1, 0, P),
+            "log_step": log_step,
             "log_edges": np.log(self.edges),
-            "log_widths": np.diff(np.log(self.edges)),
-            "log_nodes": np.log(self.nodes_gauss),
-            "log_r": log_r,
-            "part_l_w": part_l_w, "part_l_S": part_l_S,
-            "part_r_w": part_r_w, "part_r_S": part_r_S,
-            "log_part_l": log_part_l, "log_part_r": log_part_r,
+            # per slot: log(node / left edge) and weight / left edge
+            "log_rho": log_rho,
+            "quad_w": grow * wq,
+            # partial panel of slot i: log(sub-point / node) on the integration
+            # side, and the weighted sub-rule times its Lagrange map
+            "log_sub_l": np.log1p(grow * subl_nodes) - log_rho[:, None],
+            "log_sub_r": log_rho[:, None] - np.log1p(grow * subr_nodes),
+            "sub_l": grow * subl_w[:, :, None] * SL,             # (G, G, G)
+            "sub_r": grow * subr_w[:, :, None] * SR,
             "diff_ref": _diff_matrix(xi, bw),
         }
 
@@ -243,19 +238,18 @@ class RadialGrid:
         c = complex(c)
         t = self._tables
         h = self.gauss_values(np.asarray(values, dtype=complex))
+        a = self.edges[:-1]
+        D, log_rho = t["log_step"], t["log_rho"]
 
-        lb = t["log_edges"][1:]
-        panel_scaled = np.sum(
-            self.weights_gauss * np.exp(c * (t["log_nodes"] - lb[:, None])) * h, axis=1
-        )
         # S[k] = edges[k]^{-c} * int_1^{edges[k]} s^c h(s) ds
-        S = _scan(np.exp(-c * t["log_widths"]), panel_scaled)
-        e = t["left_edge"]
-        out = np.exp(c * (t["log_edges"][e] - t["log_r"])) * S[e]
+        panel = a * (h @ (t["quad_w"] * np.exp(c * (log_rho - D))))
+        S = _scan(np.exp(-c * D), panel)
+        part = np.einsum("iq,iqj->ij", np.exp(c * t["log_sub_l"]), t["sub_l"])
 
-        hy = np.einsum("mkj,mj->mk", t["part_l_S"], h[t["panel_of_node"]])
-        phase = np.exp(c * (t["log_part_l"] - t["log_r"][:, None]))
-        out = out + np.sum(t["part_l_w"] * phase * hy, axis=1)
+        out = np.empty(self.n_nodes, dtype=complex)
+        out[0] = 0.0
+        out[1:-1] = (np.exp(-c * log_rho) * S[:-1, None] + a[:, None] * (h @ part.T)).ravel()
+        out[-1] = S[-1]
         return out
 
     def cum_right(self, c, values) -> np.ndarray:
@@ -263,26 +257,27 @@ class RadialGrid:
         c = complex(c)
         t = self._tables
         h = self.gauss_values(np.asarray(values, dtype=complex))
+        a = self.edges[:-1]
+        D, log_rho = t["log_step"], t["log_rho"]
 
-        la = t["log_edges"][:-1]
-        panel_scaled = np.sum(
-            self.weights_gauss * np.exp(c * (la[:, None] - t["log_nodes"])) * h, axis=1
-        )
         # R[k] = edges[k]^{c} * int_{edges[k]}^{r_max} s^{-c} h(s) ds
-        R = _scan(np.exp(-c * t["log_widths"][::-1]), panel_scaled[::-1])[::-1]
-        e = t["right_edge"]
-        out = np.exp(c * (t["log_r"] - t["log_edges"][e])) * R[e]
+        panel = a * (h @ (t["quad_w"] * np.exp(-c * log_rho)))
+        R = _scan(np.exp(-c * D), panel[::-1])[::-1]
+        part = np.einsum("iq,iqj->ij", np.exp(c * t["log_sub_r"]), t["sub_r"])
 
-        hy = np.einsum("mkj,mj->mk", t["part_r_S"], h[t["panel_of_node"]])
-        phase = np.exp(c * (t["log_r"][:, None] - t["log_part_r"]))
-        out = out + np.sum(t["part_r_w"] * phase * hy, axis=1)
+        out = np.empty(self.n_nodes, dtype=complex)
+        out[0] = R[0]
+        out[1:-1] = (np.exp(c * (log_rho - D)) * R[1:, None] + a[:, None] * (h @ part.T)).ravel()
+        out[-1] = 0.0
         return out
 
     def node_moment(self, a, values) -> complex:
         """int_1^{r_max} s^a h(s) ds for node data (tail handled by caller)."""
         a = complex(a)
+        t = self._tables
         h = self.gauss_values(np.asarray(values, dtype=complex))
-        return complex(np.sum(self.weights_gauss * np.exp(a * self._tables["log_nodes"]) * h))
+        w = t["quad_w"] * np.exp(a * t["log_rho"])
+        return complex(np.exp((a + 1.0) * t["log_edges"][:-1]) @ (h @ w))
 
     # -- interpolation and differentiation ----------------------------------
 

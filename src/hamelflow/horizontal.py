@@ -94,6 +94,9 @@ class HorizontalSolutionMode:
             merged_omega, merged_c,
         )
         out.checks = structural_checks(out)
+        moments = [m.checks["moment_rel"] for m in (self, other) if "moment_rel" in m.checks]
+        if moments:
+            out.checks["moment_rel"] = max(moments)
         return out
 
 
@@ -225,7 +228,7 @@ def compute_vorticity_mode(n: int, forcing: HorizontalForcingMode,
 
     a_n = float(abs(n))
     c_n = -(zeta + a_n + hg - 2.0) * full_moment(grid, 1.0 - a_n, phi, phi_tail)
-    omega_vals = phi + c_n * np.exp(-(zeta + hg) * np.log(r))
+    omega_vals = phi + c_n * np.exp(-(zeta + hg) * grid.log_r)
     omega_tail = phi_tail + PowerSum.of((c_n, -(zeta + hg)))
     omega = ModeProfile(omega_vals, n, "omega", grid, omega_tail)
     omega_env = max(input_env, -(sc.xi + hg))

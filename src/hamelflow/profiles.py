@@ -298,7 +298,7 @@ def integrate_weighted(p, exponent: float, r_lo: float = 1.0, r_hi: float = np.i
 def cum_right_full(grid: RadialGrid, c, values, tail) -> np.ndarray:
     """r^c int_r^inf s^{-c} h ds at every node, tail included."""
     out = grid.cum_right(c, values)
-    return out + tail.right_integral_scaled(c, grid._tables["log_r"], grid.r_max)
+    return out + tail.right_integral_scaled(c, grid.log_r, grid.r_max)
 
 
 def full_moment(grid: RadialGrid, a, values, tail) -> complex:

@@ -100,8 +100,7 @@ def solve_vertical_mode(forcing: VerticalForcingMode, params: HamelParameters,
     sc = compute_coefficients(n, params.alpha, params.gamma)
     zeta, hg = sc.zeta, params.half_gamma
     beta, delta = zeta + hg, zeta - hg
-    r = grid.r_nodes
-    log_r = np.log(r)
+    r, log_r = grid.r_nodes, grid.log_r
     two_zeta = 2.0 * zeta
 
     if forcing.pointwise is not None:

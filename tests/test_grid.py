@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
-from hamelflow.grid import RadialGrid
+from hamelflow.grid import RadialGrid, _barycentric_weights, _lagrange_matrix
 
 
 def test_node_layout(grid):
@@ -96,9 +97,46 @@ def test_cum_kernels_large_exponent_finite(c, rtol):
         assert np.all(np.abs(out - exact) <= rtol * np.abs(exact))
 
 
+def dense_tables(grid):
+    """Per-node partial-panel rules, built from the edges alone.
+
+    Every node's partial panel uses the degree-(G-1) interpolant of its own
+    panel at the G-point sub-rule on [edge, node] (left) or [node, edge]
+    (right).  The endpoint rows carry zero weights; their log nodes are the
+    row's own log r, so every phase there is exactly 1.
+    """
+    P, G = grid.panels, grid.gauss_order
+    M = grid.n_nodes
+    x, w = leggauss(G)
+    xi, wq = 0.5 * (x + 1.0), 0.5 * w
+    bw = _barycentric_weights(xi)
+    subl_nodes = xi[:, None] * xi[None, :]
+    subr_nodes = xi[:, None] + (1 - xi[:, None]) * xi[None, :]
+    SL = np.stack([_lagrange_matrix(xi, bw, subl_nodes[i]) for i in range(G)])
+    SR = np.stack([_lagrange_matrix(xi, bw, subr_nodes[i]) for i in range(G)])
+
+    widths = np.diff(grid.edges)
+    interior = slice(1, M - 1)
+    pm = np.arange(M - 2) // G  # panel of each interior node
+    sl = np.arange(M - 2) % G   # its slot in the panel
+    log_r = np.log(grid.r_nodes)
+    t = {"log_r": log_r, "log_edges": np.log(grid.edges), "log_nodes": np.log(grid.nodes_gauss),
+         "panel_of_node": np.concatenate(([0], pm, [P - 1]))}
+    for side, sub_nodes, sub_w, S in (("l", subl_nodes, xi[:, None] * wq, SL),
+                                      ("r", subr_nodes, (1 - xi[:, None]) * wq, SR)):
+        t[f"part_{side}_w"] = np.zeros((M, G))
+        t[f"part_{side}_S"] = np.zeros((M, G, G))
+        t[f"log_part_{side}"] = np.repeat(log_r[:, None], G, axis=1)
+        t[f"part_{side}_w"][interior] = widths[pm, None] * sub_w[sl]
+        t[f"part_{side}_S"][interior] = S[sl]
+        t[f"log_part_{side}"][interior] = np.log(grid.edges[pm, None]
+                                                 + widths[pm, None] * sub_nodes[sl])
+    return t
+
+
 def dense_cum(grid, c, values, left):
     """The direct M x P sum over full panels plus the node's partial panel."""
-    t = grid._tables
+    t = dense_tables(grid)
     h = grid.gauss_values(np.asarray(values, dtype=complex))
     lr = t["log_r"][:, None]
     sgn = 1.0 if left else -1.0
@@ -114,18 +152,42 @@ def dense_cum(grid, c, values, left):
     return E @ panel + np.sum(t[f"part_{side}_w"] * phase * hy, axis=1)
 
 
+def random_data(grid, seed):
+    rng = np.random.default_rng(seed)
+    return ((rng.standard_normal(grid.n_nodes) + 1j * rng.standard_normal(grid.n_nodes))
+            * grid.r_nodes ** -2.3)
+
+
+CUM_CASES = ([(c, left) for c in (0.0, 1.0, 2.5 + 0.3j, 66.0 + 3.0j) for left in (True, False)]
+             + [(-1.0, False), (-2.0, False)])
+
+
+def assert_cum_matches_dense(g, h):
+    for c, left in CUM_CASES:
+        ref = dense_cum(g, complex(c), h, left)
+        out = g.cum_left(c, h) if left else g.cum_right(c, h)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref)), (c, left)
+
+
 @pytest.mark.parametrize("panels", [1, 2, 8, 64])
 @pytest.mark.parametrize("r_max", [1e2, 1e3, 1e5])
 def test_cum_scan_matches_dense(panels, r_max):
     g = RadialGrid.build(panels, 8, r_max)
-    rng = np.random.default_rng(panels)
-    h = (rng.standard_normal(g.n_nodes) + 1j * rng.standard_normal(g.n_nodes)) * g.r_nodes ** -2.3
-    cases = [(c, left) for c in (0.0, 1.0, 2.5 + 0.3j, 66.0 + 3.0j) for left in (True, False)]
-    cases += [(-1.0, False), (-2.0, False)]
-    for c, left in cases:
-        ref = dense_cum(g, complex(c), h, left)
-        out = g.cum_left(c, h) if left else g.cum_right(c, h)
-        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref)), (c, left)
+    assert_cum_matches_dense(g, random_data(g, panels))
+
+
+# The kernels read per-exponent reference tables that hold on every panel
+# because the edges are geometric; fine grids put many panels on one table.
+@pytest.mark.parametrize("panels", [256, 512])
+@pytest.mark.parametrize("r_max", [1e2, 1e5])
+def test_self_similar_kernels_match_dense(panels, r_max):
+    g = RadialGrid.build(panels, 8, r_max)
+    h = random_data(g, panels)
+    assert_cum_matches_dense(g, h)
+    s = g.nodes_gauss
+    for a in (-2.0, 2.0, 3.0 + 1.0j, -0.5 + 2.0j):
+        ref = np.sum(g.weights_gauss * s ** a * g.gauss_values(h))
+        assert abs(g.node_moment(a, h) - ref) <= 1e-13 * abs(ref), a
 
 
 def test_integrate_clipped_polynomial_exact(grid):

@@ -98,7 +98,7 @@ def test_cum_kernels_large_exponent_finite(c, rtol):
 
 
 def dense_tables(grid):
-    """Per-node partial-panel rules, built from the edges alone.
+    """Per-node partial-panel rules, built from the grid's edges and nodes.
 
     Every node's partial panel uses the degree-(G-1) interpolant of its own
     panel at the G-point sub-rule on [edge, node] (left) or [node, edge]

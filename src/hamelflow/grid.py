@@ -182,8 +182,9 @@ class RadialGrid:
             # per slot: log(node / left edge) and weight / left edge
             "log_rho": log_rho,
             "quad_w": grow * wq,
-            # partial panel of slot i: log(sub-point / node) on the integration
-            # side, and the weighted sub-rule times its Lagrange map
+            # partial panel of slot i: log of each sub-point's ratio to the node,
+            # s/r on the left and r/s on the right (both <= 1), and the
+            # weighted sub-rule times its Lagrange map
             "log_sub_l": np.log1p(grow * subl_nodes) - log_rho[:, None],
             "log_sub_r": log_rho[:, None] - np.log1p(grow * subr_nodes),
             "sub_l": grow * subl_w[:, :, None] * SL,             # (G, G, G)

@@ -5,9 +5,11 @@ Times the scaled cumulative kernels `RadialGrid.cum_left`, `cum_right`
 and `node_moment` at P = 64, 128, 256, 512 panels (Gauss-8, r_max = 1e3);
 one horizontal (`solve_mode`) and one vertical (`solve_vertical_mode`)
 mode solve at n = 0, 1, 32, forced in divergence form by fixed power
-laws; and one application of the Picard map `apply_T` at mode cutoffs
-N = 2, 8, 16 with every mode forced.  The solves and `apply_T` run on
-the default grid (64 panels, Gauss-8, r_max = 1e3).  Each figure is the
+laws; one application of the Picard map `apply_T` at mode cutoffs
+N = 2, 8, 16, 24 with every mode forced; and the spectral product
+`tensor_convolution(w, w)` at N = 8, 24, 32, where w is the first
+Picard iterate of that forcing.  The solves, `apply_T` and the product
+run on the default grid (64 panels, Gauss-8, r_max = 1e3).  Each figure is the
 median of k calls timed with `time.perf_counter` after one untimed
 warm-up call; BLAS threads should be pinned to 1.
 
@@ -35,17 +37,19 @@ from hamelflow.background import HamelParameters
 from hamelflow.forcing import build_family
 from hamelflow.grid import RadialGrid
 from hamelflow.horizontal import HorizontalForcingMode, solve_mode
-from hamelflow.nonlinear import VelocityField, apply_T
+from hamelflow.nonlinear import VelocityField, apply_T, tensor_convolution
 from hamelflow.profiles import ModeProfile, PowerSum
 from hamelflow.vertical import VerticalForcingMode, solve_vertical_mode
 
 KERNEL_PANELS = (64, 128, 256, 512)
 SOLVE_MODES = (0, 1, 32)
-APPLY_T_CUTOFFS = (2, 8, 16)
+APPLY_T_CUTOFFS = (2, 8, 16, 24)
+CONVOLUTION_CUTOFFS = (8, 24, 32)
 KERNEL_EXPONENT = 3.0 + 1.0j
 K_KERNEL = 7    # timed calls per kernel figure
 K_SOLVE = 7     # timed calls per mode-solve figure
 K_APPLY_T = 5   # timed calls per apply_T figure
+K_CONV = 7      # timed calls per tensor_convolution figure
 
 
 def median_seconds(fn, k):
@@ -106,18 +110,35 @@ def solve_rows(k):
     return rows
 
 
+def first_iterate(grid, params, cutoff):
+    """Every-mode power forcing at the cutoff and its first Picard iterate."""
+    forcing = build_family("power", grid, params, 1.0e-3,
+                           coefficients={n: 1.0 for n in range(cutoff + 1)},
+                           cutoff=cutoff)
+    return forcing, apply_T(VelocityField.zero(grid, cutoff), forcing, params, grid)
+
+
 def apply_T_rows(k):
     grid = RadialGrid.build(64, 8, 1.0e3)
     params = HamelParameters(1.0, 4.0, 2.5)
     rows = []
     for cutoff in APPLY_T_CUTOFFS:
-        forcing = build_family("power", grid, params, 1.0e-3,
-                               coefficients={n: 1.0 for n in range(cutoff + 1)},
-                               cutoff=cutoff)
-        w = apply_T(VelocityField.zero(grid, cutoff), forcing, params, grid)
+        forcing, w = first_iterate(grid, params, cutoff)
         rows.append({"kernel": "apply_T", "cutoff": cutoff, "panels": grid.panels,
                      "median_s": median_seconds(
                          lambda: apply_T(w, forcing, params, grid), k)})
+    return rows
+
+
+def convolution_rows(k):
+    grid = RadialGrid.build(64, 8, 1.0e3)
+    params = HamelParameters(1.0, 4.0, 2.5)
+    rows = []
+    for cutoff in CONVOLUTION_CUTOFFS:
+        _, w = first_iterate(grid, params, cutoff)
+        rows.append({"kernel": "tensor_convolution", "cutoff": cutoff,
+                     "panels": grid.panels,
+                     "median_s": median_seconds(lambda: tensor_convolution(w, w), k)})
     return rows
 
 
@@ -137,7 +158,9 @@ def main():
         "k": K_KERNEL,
         "k_solve": K_SOLVE,
         "k_apply": K_APPLY_T,
-        "results": kernel_rows(K_KERNEL) + solve_rows(K_SOLVE) + apply_T_rows(K_APPLY_T),
+        "k_conv": K_CONV,
+        "results": (kernel_rows(K_KERNEL) + solve_rows(K_SOLVE) + apply_T_rows(K_APPLY_T)
+                    + convolution_rows(K_CONV)),
     }
     for row in run["results"]:
         where = (f"N={row['cutoff']}" if "cutoff" in row

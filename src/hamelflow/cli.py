@@ -152,13 +152,12 @@ def _json_default(obj):
 def _write_profiles(out_dir: Path, fieldv):
     prof_dir = out_dir / "profiles"
     prof_dir.mkdir(parents=True, exist_ok=True)
-    r = fieldv.grid.r_nodes
+    # one template per run, filled with each profile's interleaved (re, im)
+    template = "r,re,im\n" + "".join(f"{x:.17g},%.17g,%.17g\n" for x in fieldv.grid.r_nodes)
     for n in sorted(fieldv.modes):
         for tag, p in zip(("vr", "vt", "v3"), fieldv.modes[n]):
-            lines = ["r,re,im"]
-            for j in range(len(r)):
-                lines.append(f"{r[j]:.17g},{p.values[j].real:.17g},{p.values[j].imag:.17g}")
-            (prof_dir / f"mode_{n:+d}_{tag}.csv").write_text("\n".join(lines) + "\n")
+            parts = tuple(np.ascontiguousarray(p.values).view(float).tolist())
+            (prof_dir / f"mode_{n:+d}_{tag}.csv").write_text(template % parts)
 
 
 def _write_decay(out_dir: Path, radii, amplitude):

@@ -143,6 +143,9 @@ class EnvelopeTail:
     def scaled(self, k):
         return EnvelopeTail(self.exponent, self.anchor * k, self.r_ref)
 
+    def conjugate(self):
+        return EnvelopeTail(self.exponent, self.anchor.conjugate(), self.r_ref)
+
     def __add__(self, other):
         if isinstance(other, EnvelopeTail):
             if other.r_ref != self.r_ref:
@@ -217,6 +220,11 @@ class ModeProfile:
     def scaled(self, k):
         return ModeProfile(self.values * k, self.mode, self.component_tag,
                            self.grid, self.tail.scaled(k))
+
+    def conjugate(self):
+        """Profile of mode -n of a real field whose mode n this is."""
+        return ModeProfile(np.conj(self.values), -self.mode, self.component_tag,
+                           self.grid, self.tail.conjugate())
 
     def __add__(self, other):
         if other.grid is not self.grid:

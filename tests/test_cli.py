@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from hamelflow import cli
+from hamelflow.grid import RadialGrid
+from hamelflow.nonlinear import VelocityField
+from hamelflow.profiles import ModeProfile
 
 
 def run_cfg(tmp_path, **kw):
@@ -121,10 +124,62 @@ def test_main_entrypoint_config_error(capsys):
 
 
 def test_boundary_error_exit_with_summary(tmp_path, capsys):
-    # the CLI defaults at r_max = 100 fail mode -1's moment identity
+    # the CLI defaults at r_max = 100 fail mode 1's moment identity (modes are
+    # solved in 0..N order, so the error names mode 1, not its mirror -1)
     out = tmp_path / "out"
     assert cli.main(["--r-max", "100", "--output-dir", str(out)]) == cli.EXIT_BOUNDARY
     assert "moment residual" in capsys.readouterr().err
     summary = json.loads((out / "summary.json").read_text())
     assert "moment residual" in summary["error"]
     assert summary["config"]["r_max"] == 100.0
+
+
+def _old_profile_writer(prof_dir, fieldv):
+    """The line-by-line f-string writer the template writer replaced."""
+    r = fieldv.grid.r_nodes
+    for n in sorted(fieldv.modes):
+        for tag, p in zip(("vr", "vt", "v3"), fieldv.modes[n]):
+            lines = ["r,re,im"]
+            for j in range(len(r)):
+                lines.append(f"{r[j]:.17g},{p.values[j].real:.17g},{p.values[j].imag:.17g}")
+            (prof_dir / f"mode_{n:+d}_{tag}.csv").write_text("\n".join(lines) + "\n")
+
+
+def test_profile_writer_bytes_and_round_trip(tmp_path):
+    grid = RadialGrid.build(4, 4, 50.0)
+    rng = np.random.default_rng(3)
+    m = grid.n_nodes
+    special = np.array([0.0, -0.0, -1.5, 1e-300, -3e-300, 5e-324, 1.0 / 3.0, -2.0 ** 60])
+    fieldv = VelocityField(grid, 2, {}, {})
+    for n in range(-2, 3):
+        trip = []
+        for k, tag in enumerate("rt3"):
+            re = rng.normal(size=m) * 10.0 ** rng.integers(-300, 300, size=m)
+            im = rng.normal(size=m)
+            re[:special.size] = special
+            im[-special.size:] = special[::-1]
+            if (n + k) % 4 == 0:
+                re, im = np.zeros(m), np.zeros(m)
+            trip.append(ModeProfile(re + 1j * im, n, tag, grid))
+        fieldv.modes[n] = tuple(trip)
+
+    new_dir, old_dir = tmp_path / "new", tmp_path / "old"
+    cli._write_profiles(new_dir, fieldv)
+    old_dir.mkdir()
+    _old_profile_writer(old_dir, fieldv)
+    written = sorted(p.name for p in (new_dir / "profiles").iterdir())
+    assert written == sorted(p.name for p in old_dir.iterdir())
+    assert len(written) == 15
+    for name in written:
+        assert (new_dir / "profiles" / name).read_bytes() == (old_dir / name).read_bytes()
+
+    for n, trip in fieldv.modes.items():
+        for tag, p in zip(("vr", "vt", "v3"), trip):
+            lines = (new_dir / "profiles" / f"mode_{n:+d}_{tag}.csv").read_text().splitlines()
+            assert lines[0] == "r,re,im"
+            rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+            assert np.array_equal(rows[:, 0], grid.r_nodes)
+            assert np.array_equal(rows[:, 1], p.values.real)
+            assert np.array_equal(rows[:, 2], p.values.imag)
+            assert np.array_equal(np.signbit(rows[:, 1:]),
+                                  np.signbit(np.column_stack((p.values.real, p.values.imag))))

@@ -6,8 +6,8 @@ from hamelflow import nonlinear as nl
 from hamelflow import vertical as vt
 from hamelflow.background import HamelParameters
 from hamelflow.errors import ContractionError, IterationError
-from hamelflow.forcing import power_envelope_forcing
-from hamelflow.profiles import ModeProfile, PowerSum
+from hamelflow.forcing import power_envelope_forcing, random_forcing
+from hamelflow.profiles import ZERO_TAIL, ModeProfile, PowerSum, envelope_tail
 
 PARAMS = HamelParameters(alpha=1.0, gamma=4.0, rho=2.5)
 
@@ -23,6 +23,65 @@ def random_field(grid, seed, cutoff=3, decay=-2.0):
                 PowerSum.of((c, decay - rng.uniform(0, 1))), grid, n, tag))
         f.modes[n] = tuple(trip)
     return f
+
+
+def real_field(grid, seed, cutoff=3, decay=-2.0):
+    """Like random_field, but the n >= 0 draws are mirrored to n < 0."""
+    rng = np.random.default_rng(seed)
+    f = nl.VelocityField(grid, cutoff, {}, {})
+    for n in range(0, cutoff + 1):
+        trip = []
+        for tag in "rt3":
+            c = rng.normal() + (1j * rng.normal() if n > 0 else 0.0)
+            trip.append(ModeProfile.from_powersum(
+                PowerSum.of((c, decay - rng.uniform(0, 1))), grid, n, tag))
+        f.modes[n] = tuple(trip)
+        if n > 0:
+            f.modes[-n] = tuple(p.conjugate() for p in trip)
+    return f
+
+
+def direct_convolution(v, w):
+    """The O(N^2 M) direct sum over mode pairs: oracle for the FFT product."""
+    grid = v.grid
+    N = v.cutoff
+    out = {}
+    for n in range(-N, N + 1):
+        acc = {key: np.zeros(grid.n_nodes, dtype=complex) for key in nl.TENSOR_KEYS}
+        exps = {key: -np.inf for key in nl.TENSOR_KEYS}
+        for m in range(-N, N + 1):
+            k = n - m
+            if abs(k) > N or m not in v.modes or k not in w.modes:
+                continue
+            vm = v.mode_values(m)
+            wk = w.mode_values(k)
+            ev = v.mode_tail_exponent(m)
+            ew = w.mode_tail_exponent(k)
+            for key in nl.TENSOR_KEYS:
+                acc[key] += vm[nl._COMP[key[0]]] * wk[nl._COMP[key[1]]]
+                exps[key] = max(exps[key], ev + ew)
+        prof = {}
+        for key in nl.TENSOR_KEYS:
+            if np.isfinite(exps[key]) and np.any(acc[key]):
+                tail = envelope_tail(grid, exps[key], acc[key])
+            else:
+                tail = ZERO_TAIL
+            prof[key] = ModeProfile(acc[key], n, key, grid, tail)
+        out[n] = prof
+    return out
+
+
+def direct_mode_solve(forcing, n, params, grid):
+    """Solve mode n from the forcing's pieces, without apply_T."""
+    g_r, g_t, g_3 = forcing.g_modes[n]
+    F = forcing.F_modes[n]
+    sol_h = hz.solve_mode(hz.HorizontalForcingMode(n, pointwise=(g_r, g_t)), params, grid)
+    sol_h = sol_h.add(hz.solve_mode(hz.HorizontalForcingMode(
+        n, divergence=(F["rr"], F["rt"], F["tr"], F["tt"])), params, grid))
+    sol_v = vt.solve_vertical_mode(vt.VerticalForcingMode(n, pointwise=g_3), params, grid)
+    sol_v = sol_v.add(vt.solve_vertical_mode(vt.VerticalForcingMode(
+        n, divergence=(F["r3"], F["t3"])), params, grid))
+    return sol_h.v_r, sol_h.v_t, sol_v.v_3
 
 
 # -- convolution ---------------------------------------------------------------
@@ -56,6 +115,46 @@ def test_convolution_against_physical_multiplication(grid, seed):
             assert np.max(np.abs(out[n][key].values - oracle)) < 1e-10
 
 
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 5, 24, 32])
+def test_fft_convolution_matches_direct_sum(grid, cutoff):
+    v = random_field(grid, 40 + cutoff, cutoff=cutoff)
+    w = random_field(grid, 80 + cutoff, cutoff=cutoff)
+    for a, b in ((v, w), (v, v)):
+        fast = nl.tensor_convolution(a, b)
+        slow = direct_convolution(a, b)
+        scale = a.scale() * b.scale()
+        assert sorted(fast) == sorted(slow) == list(range(-cutoff, cutoff + 1))
+        for n in slow:
+            for key in nl.TENSOR_KEYS:
+                f, s = fast[n][key], slow[n][key]
+                assert np.max(np.abs(f.values - s.values)) < 1e-14 * scale
+                assert f.tail.slowest_exponent() == s.tail.slowest_exponent()
+                assert (f.mode, f.component_tag) == (n, key)
+
+
+def test_fft_convolution_exact_zeros(grid):
+    # the second Picard step of the power family at cutoff 4: modes 2..4 of
+    # the first iterate are zero solutions, so product modes 3 and 4 are
+    # reached by no pair of nonzero components
+    forcing = power_envelope_forcing(grid, PARAMS, 1e-3, {0: 1.0, 1: 1.0}, cutoff=4)
+    first = nl.apply_T(nl.VelocityField.zero(grid, 4), forcing, PARAMS, grid)
+    assert all(first.modes[n][0].max_abs() == 0.0 for n in (2, 3, 4))
+    fast = nl.tensor_convolution(first, first)
+    slow = direct_convolution(first, first)
+    zeros = 0
+    for n in slow:
+        for key in nl.TENSOR_KEYS:
+            f, s = fast[n][key], slow[n][key]
+            if not np.any(s.values):
+                zeros += 1
+                assert not np.any(f.values)
+                assert f.tail is ZERO_TAIL
+            else:
+                assert np.max(np.abs(f.values - s.values)) < 1e-14 * first.scale() ** 2
+                assert f.tail.slowest_exponent() == s.tail.slowest_exponent()
+    assert zeros >= 2 * 2 * len(nl.TENSOR_KEYS)
+
+
 def test_convolution_cutoff_mismatch(grid):
     with pytest.raises(ValueError, match="cutoff mismatch"):
         nl.tensor_convolution(random_field(grid, 1, cutoff=2),
@@ -74,26 +173,33 @@ def test_T_at_zero_equals_direct_linear_solves(grid):
     forcing = power_envelope_forcing(grid, PARAMS, 1e-3, {0: 1.0, 1: 0.5})
     out = nl.apply_T(nl.VelocityField.zero(grid, 1), forcing, PARAMS, grid)
     for n in (-1, 0, 1):
-        g_r, g_t, g_3 = forcing.g_modes[n]
-        F = forcing.F_modes[n]
-        sol_h = hz.solve_mode(hz.HorizontalForcingMode(n, pointwise=(g_r, g_t)),
-                              PARAMS, grid)
-        sol_h = sol_h.add(hz.solve_mode(hz.HorizontalForcingMode(
-            n, divergence=(F["rr"], F["rt"], F["tr"], F["tt"])), PARAMS, grid))
-        sol_v = vt.solve_vertical_mode(vt.VerticalForcingMode(n, pointwise=g_3),
-                                       PARAMS, grid)
-        sol_v = sol_v.add(vt.solve_vertical_mode(vt.VerticalForcingMode(
-            n, divergence=(F["r3"], F["t3"])), PARAMS, grid))
-        v_r, v_t, v_3 = out.modes[n]
-        assert np.max(np.abs(v_r.values - sol_h.v_r.values)) < 1e-14
-        assert np.max(np.abs(v_t.values - sol_h.v_t.values)) < 1e-14
-        assert np.max(np.abs(v_3.values - sol_v.v_3.values)) < 1e-14
+        for got, want in zip(out.modes[n], direct_mode_solve(forcing, n, PARAMS, grid)):
+            assert np.max(np.abs(got.values - want.values)) < 1e-14
+
+
+@pytest.mark.parametrize("alpha", [-3.0, 1.7])
+def test_T_mirrored_modes_equal_direct_solves(grid, alpha):
+    # apply_T solves n >= 0 and conjugates; solve the negative modes directly
+    params = HamelParameters(alpha=alpha, gamma=4.0, rho=2.5)
+    forcing = random_forcing(grid, params, 1e-3, seed=5, n_modes=24)
+    out = nl.apply_T(nl.VelocityField.zero(grid, 24), forcing, params, grid)
+    for n in (-1, -7, -24):
+        for got, want in zip(out.modes[n], direct_mode_solve(forcing, n, params, grid)):
+            assert (got.mode, got.component_tag) == (want.mode, want.component_tag)
+            assert np.max(np.abs(got.values - want.values)) < 1e-14 * want.max_abs()
+            assert got.tail.slowest_exponent() == want.tail.slowest_exponent()
+
+
+def test_T_rejects_non_real_iterate(grid):
+    forcing = power_envelope_forcing(grid, PARAMS, 1e-3, {0: 1.0, 1: 0.5})
+    with pytest.raises(ValueError, match="reality condition"):
+        nl.apply_T(random_field(grid, 4, cutoff=1), forcing, PARAMS, grid)
 
 
 def test_T_quadratic_response(grid):
     # ||T(eps w) - T(0)|| scales like eps^2 with a stable constant
     forcing = nl.ForcingSpec(grid, 2)
-    base = random_field(grid, 9, cutoff=2, decay=-1.8)
+    base = real_field(grid, 9, cutoff=2, decay=-1.8)
     ratios = []
     for eps in (1e-2, 1e-3):
         scaled = nl.VelocityField(grid, 2,

@@ -8,10 +8,14 @@ mode solve at n = 0, 1, 32, forced in divergence form by fixed power
 laws; one application of the Picard map `apply_T` at mode cutoffs
 N = 2, 8, 16, 24 with every mode forced; and the spectral product
 `tensor_convolution(w, w)` at N = 8, 24, 32, where w is the first
-Picard iterate of that forcing.  The solves, `apply_T` and the product
-run on the default grid (64 panels, Gauss-8, r_max = 1e3).  Each figure is the
-median of k calls timed with `time.perf_counter` after one untimed
-warm-up call; BLAS threads should be pinned to 1.
+Picard iterate of that forcing; and, at N = 24 on that iterate, the norms
+`x_norm(w)` and `field_diff_norm(T(w), w)` and the weak residual
+`weak_ns_residual` against the CLI's test suite.  The solves, `apply_T`,
+the product, the norms and the residual run on the default grid
+(64 panels, Gauss-8, r_max = 1e3).  Each row records the median and the
+minimum of k calls timed with `time.perf_counter` after one untimed
+warm-up call; the minimum is the steadier figure for sub-millisecond
+rows.  BLAS threads should be pinned to 1.
 
 The results are stored under `--label`, beside the numpy version, the
 core count and the commit of the hamelflow tree that was imported, so
@@ -37,8 +41,10 @@ from hamelflow.background import HamelParameters
 from hamelflow.forcing import build_family
 from hamelflow.grid import RadialGrid
 from hamelflow.horizontal import HorizontalForcingMode, solve_mode
-from hamelflow.nonlinear import VelocityField, apply_T, tensor_convolution
+from hamelflow.nonlinear import (VelocityField, apply_T, field_diff_norm,
+                                 tensor_convolution, x_norm)
 from hamelflow.profiles import ModeProfile, PowerSum
+from hamelflow.verification import make_test_suite, weak_ns_residual
 from hamelflow.vertical import VerticalForcingMode, solve_vertical_mode
 
 KERNEL_PANELS = (64, 128, 256, 512)
@@ -50,16 +56,19 @@ K_KERNEL = 7    # timed calls per kernel figure
 K_SOLVE = 7     # timed calls per mode-solve figure
 K_APPLY_T = 5   # timed calls per apply_T figure
 K_CONV = 7      # timed calls per tensor_convolution figure
+NORM_CUTOFF = 24
+K_NORM = 21     # timed calls per norm and weak-residual figure
 
 
-def median_seconds(fn, k):
+def timings(fn, k):
+    """{"median_s", "min_s"} of k timed calls after one warm-up call."""
     fn()
     times = []
     for _ in range(k):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    return {"median_s": statistics.median(times), "min_s": min(times)}
 
 
 def source_commit():
@@ -84,7 +93,7 @@ def kernel_rows(k):
         }
         for name, fn in calls.items():
             rows.append({"kernel": name, "panels": panels, "nodes": grid.n_nodes,
-                         "median_s": median_seconds(fn, k)})
+                         **timings(fn, k)})
     return rows
 
 
@@ -106,7 +115,7 @@ def solve_rows(k):
         }
         for name, fn in calls.items():
             rows.append({"kernel": name, "mode": n, "panels": grid.panels,
-                         "median_s": median_seconds(fn, k)})
+                         **timings(fn, k)})
     return rows
 
 
@@ -125,8 +134,7 @@ def apply_T_rows(k):
     for cutoff in APPLY_T_CUTOFFS:
         forcing, w = first_iterate(grid, params, cutoff)
         rows.append({"kernel": "apply_T", "cutoff": cutoff, "panels": grid.panels,
-                     "median_s": median_seconds(
-                         lambda: apply_T(w, forcing, params, grid), k)})
+                     **timings(lambda: apply_T(w, forcing, params, grid), k)})
     return rows
 
 
@@ -137,9 +145,23 @@ def convolution_rows(k):
     for cutoff in CONVOLUTION_CUTOFFS:
         _, w = first_iterate(grid, params, cutoff)
         rows.append({"kernel": "tensor_convolution", "cutoff": cutoff,
-                     "panels": grid.panels,
-                     "median_s": median_seconds(lambda: tensor_convolution(w, w), k)})
+                     "panels": grid.panels, **timings(lambda: tensor_convolution(w, w), k)})
     return rows
+
+
+def norm_rows(k):
+    grid = RadialGrid.build(64, 8, 1.0e3)
+    params = HamelParameters(1.0, 4.0, 2.5)
+    forcing, w = first_iterate(grid, params, NORM_CUTOFF)
+    w2 = apply_T(w, forcing, params, grid)
+    suite = make_test_suite(grid, modes=(0, 1, 2))
+    calls = {
+        "x_norm": lambda: x_norm(w, params.rho),
+        "field_diff_norm": lambda: field_diff_norm(w2, w, params.rho),
+        "weak_ns_residual": lambda: weak_ns_residual(w, forcing, params, suite),
+    }
+    return [{"kernel": name, "cutoff": NORM_CUTOFF, "panels": grid.panels, **timings(fn, k)}
+            for name, fn in calls.items()]
 
 
 def main():
@@ -159,13 +181,15 @@ def main():
         "k_solve": K_SOLVE,
         "k_apply": K_APPLY_T,
         "k_conv": K_CONV,
+        "k_norm": K_NORM,
         "results": (kernel_rows(K_KERNEL) + solve_rows(K_SOLVE) + apply_T_rows(K_APPLY_T)
-                    + convolution_rows(K_CONV)),
+                    + convolution_rows(K_CONV) + norm_rows(K_NORM)),
     }
     for row in run["results"]:
         where = (f"N={row['cutoff']}" if "cutoff" in row
                  else f"n={row['mode']}" if "mode" in row else f"P={row['panels']}")
-        print(f"{row['kernel']:19s} {where:6s} {1e3 * row['median_s']:10.3f} ms")
+        print(f"{row['kernel']:19s} {where:6s} {1e3 * row['median_s']:10.3f} ms"
+              f" (min {1e3 * row['min_s']:.3f} ms)")
 
     path = Path(args.out)
     doc = json.loads(path.read_text()) if path.exists() else {"runs": {}}

@@ -33,6 +33,7 @@ from .nonlinear import (
     picard_iterate,
     reconstruct_u,
     tensor_convolution,
+    value_norm,
     with_background,
     x_norm,
 )

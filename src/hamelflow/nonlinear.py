@@ -1,6 +1,13 @@
 """The nonlinear solve: spectral convolution, the linearized solve map, and
 the fixed-point iteration.
 
+A `VelocityField` is three arrays: values and radial derivatives of the
+modes -N..N, shape (2N+1, 3, M) with mode n at index n + N, and a (2N+1, 3)
+array of tail exponents.  Norms, the reality check, the product and the
+CLI writers work on these arrays; `ModeProfile`s appear only at the edges:
+the per-mode solves, their forcing (`ForcingSpec`, whose exact `PowerSum`
+tails the solvers use) and point evaluation (`VelocityField.profile`).
+
 One application of the map T solves the linearized system with forcing
 g + div(-w (x) w + F).  Force and iterate are real, v_{-n} = conj(v_n),
 and the mode -n operator is the conjugate of the mode n one, so T solves
@@ -18,6 +25,7 @@ the underlying theory.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,13 +35,7 @@ from . import vertical as vt
 from .background import HamelParameters, velocity, velocity_derivative
 from .errors import AdmissibilityError, ContractionError, IterationError
 from .grid import RadialGrid
-from .profiles import (
-    ModeProfile,
-    PowerSum,
-    ZERO_TAIL,
-    envelope_tail,
-    l1_weighted_norm,
-)
+from .profiles import ModeProfile, ZERO_TAIL, envelope_tail, l1_weighted_norm
 
 TENSOR_KEYS = ("rr", "rt", "r3", "tr", "tt", "t3")
 _COMP = {"r": 0, "t": 1, "3": 2}
@@ -45,97 +47,94 @@ _COMP = {"r": 0, "t": 1, "3": 2}
 
 @dataclass
 class VelocityField:
-    """Mode-indexed velocity triple with radial-derivative data.
+    """Velocity triples of the modes -N..N with their radial derivatives.
 
-    Components are stored in the (e_r, e_theta, e_3) basis; a real field
-    in physical space satisfies v_{a,-n} = conj(v_{a,n}).
+    `values` and `dvalues` are complex arrays of shape (2N+1, 3, M): mode n
+    sits at index n + N, components in the (e_r, e_theta, e_3) basis, M grid
+    nodes.  `exponents` (2N+1, 3) holds each component's tail exponent
+    beyond r_max, -inf for no tail; with the r_max value it is the whole
+    tail (`profile`).  A real field in physical space satisfies
+    v_{a,-n} = conj(v_{a,n}).
     """
 
     grid: RadialGrid
-    cutoff: int
-    modes: dict = field(default_factory=dict)   # n -> (v_r, v_t, v_3)
-    dmodes: dict = field(default_factory=dict)  # n -> (dv_r, dv_t, dv_3)
+    values: np.ndarray
+    dvalues: np.ndarray
+    exponents: np.ndarray
+
+    @property
+    def cutoff(self) -> int:
+        return len(self.values) // 2
 
     @staticmethod
     def zero(grid: RadialGrid, cutoff: int) -> "VelocityField":
-        return VelocityField(grid, cutoff, {}, {})
+        shape = (2 * cutoff + 1, 3, grid.n_nodes)
+        return VelocityField(grid, np.zeros(shape, dtype=complex),
+                             np.zeros(shape, dtype=complex), np.full(shape[:2], -np.inf))
 
-    def mode_values(self, n):
-        """Component value arrays of mode n, zeros if absent."""
-        if n in self.modes:
-            return tuple(p.values for p in self.modes[n])
-        z = np.zeros(self.grid.n_nodes, dtype=complex)
-        return (z, z, z)
+    def profile(self, n: int, a: int) -> ModeProfile:
+        """Component a of mode n with its envelope tail, for point evaluation."""
+        vals = self.values[n + self.cutoff, a]
+        e = self.exponents[n + self.cutoff, a]
+        tail = envelope_tail(self.grid, e, vals) if np.isfinite(e) else ZERO_TAIL
+        return ModeProfile(vals, n, "rt3"[a], self.grid, tail)
 
-    def mode_tail_exponent(self, n) -> float:
-        if n not in self.modes:
-            return -np.inf
-        return max(p.tail.slowest_exponent() for p in self.modes[n])
-
-    def gradient_values(self, n):
-        """The six horizontal-gradient components of mode n.
+    def gradients(self, rows=slice(None)):
+        """The six horizontal-gradient components of the modes at `rows`.
 
         Order: (d_r v_r, d_r v_t, d_r v_3, (in v_r - v_t)/r,
-        (in v_t + v_r)/r, in v_3 / r).
+        (in v_t + v_r)/r, in v_3 / r), one at a time: (2N+1, M) arrays by
+        default, (M,) arrays for the single mode at index `rows`.
         """
         r = self.grid.r_nodes
-        v_r, v_t, v_3 = self.mode_values(n)
-        if n in self.dmodes:
-            d_r, d_t, d_3 = (p.values for p in self.dmodes[n])
-        else:
-            z = np.zeros_like(v_r)
-            d_r, d_t, d_3 = z, z, z
-        i_n = 1j * n
-        return (d_r, d_t, d_3,
-                (i_n * v_r - v_t) / r, (i_n * v_t + v_r) / r, i_n * v_3 / r)
+        i_n = 1j * np.arange(-self.cutoff, self.cutoff + 1)[rows, None]
+        v_r, v_t, v_3 = np.moveaxis(self.values[rows], -2, 0)
+        yield from np.moveaxis(self.dvalues[rows], -2, 0)
+        yield (i_n * v_r - v_t) / r
+        yield (i_n * v_t + v_r) / r
+        yield i_n * v_3 / r
 
     def scale(self) -> float:
-        if not self.modes:
-            return 0.0
-        return max(max(p.max_abs() for p in triple) for triple in self.modes.values())
+        return float(np.max(np.abs(self.values)))
 
     def reality_defect(self) -> float:
         """Max deviation from v_{a,-n} = conj(v_{a,n}), relative to field scale."""
         s = self.scale()
         if s == 0.0:
             return 0.0
-        worst = 0.0
-        for n in range(0, self.cutoff + 1):
-            plus = self.mode_values(n)
-            minus = self.mode_values(-n)
-            for a in range(3):
-                worst = max(worst, float(np.max(np.abs(minus[a] - np.conj(plus[a])))))
-        return worst / s
+        N = self.cutoff
+        return float(np.max(np.abs(self.values[N:] - np.conj(self.values[N::-1])))) / s
+
+    def theta_rms(self) -> np.ndarray:
+        """sqrt of the theta-mean square of |v| at every grid node."""
+        return np.sqrt(np.sum(np.abs(self.values) ** 2, axis=(0, 1)))
+
+
+def _mode_sup(slots, weight) -> np.ndarray:
+    """Per-mode max of weight * |slot| over (2N+1, M) slots."""
+    return functools.reduce(np.maximum, (np.max(weight * np.abs(s), axis=-1) for s in slots))
+
+
+def value_norm(fieldv: VelocityField, s: float) -> float:
+    """Sum over modes of the component-wise max of r^s |v_n|; at s = rho - 1
+    it is the value half of `x_norm`."""
+    return float(np.sum(_mode_sup(fieldv.values.transpose(1, 0, 2), fieldv.grid.r_nodes ** s)))
 
 
 def x_norm(fieldv: VelocityField, rho: float):
     """Discrete solution-space norm: l1-over-modes weighted sups of the field
     (weight rho-1) plus its horizontal gradient (weight rho)."""
-    r = fieldv.grid.r_nodes
-    w_lo = r ** (rho - 1.0)
-    w_hi = r ** rho
-    val = 0.0
-    grad = 0.0
-    for n in sorted(fieldv.modes):
-        triple = fieldv.mode_values(n)
-        val += max(float(np.max(w_lo * np.abs(v))) for v in triple)
-        grads = fieldv.gradient_values(n)
-        grad += max(float(np.max(w_hi * np.abs(gv))) for gv in grads)
-    return val + grad
+    grad = _mode_sup(fieldv.gradients(), fieldv.grid.r_nodes ** rho)
+    return value_norm(fieldv, rho - 1.0) + float(np.sum(grad))
 
 
 def field_diff_norm(a: VelocityField, b: VelocityField, rho: float) -> float:
-    """x_norm of (a - b) without materializing the difference field."""
+    """x_norm of (a - b), one (2N+1, M) slot of the difference at a time."""
     r = a.grid.r_nodes
-    w_lo = r ** (rho - 1.0)
-    w_hi = r ** rho
-    total = 0.0
-    for n in sorted(set(a.modes) | set(b.modes)):
-        va, vb = a.mode_values(n), b.mode_values(n)
-        total += max(float(np.max(w_lo * np.abs(x - y))) for x, y in zip(va, vb))
-        ga, gb = a.gradient_values(n), b.gradient_values(n)
-        total += max(float(np.max(w_hi * np.abs(x - y))) for x, y in zip(ga, gb))
-    return total
+    vals = _mode_sup(map(np.subtract, a.values.transpose(1, 0, 2), b.values.transpose(1, 0, 2)),
+                     r ** (rho - 1.0))
+    grads = _mode_sup(map(np.subtract, a.gradients(), b.gradients()), r ** rho)
+    return float(np.sum(vals) + np.sum(grads))
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +224,14 @@ def _fft_length(n: int) -> int:
     return n if m == 1 else _fft_length(n + 1)
 
 
-def tensor_convolution(v: VelocityField, w: VelocityField) -> dict:
-    """Mode family of the tensor product (v (x) w), truncated to the cutoff.
+def tensor_convolution(v: VelocityField, w: VelocityField):
+    """Mode family of the tensor product v (x) w, truncated to the cutoff.
 
-    Returns {n: {key: ModeProfile}} over the six tensor slots that can
-    enter a divergence of z-independent data; the (3r, 3t, 33) row is not
-    formed.  The fields need not be real.  Product modes that no pair of
-    nonzero operand components reaches are exactly zero, with `ZERO_TAIL`.
+    Returns the (2N+1, 6, M) product, its slots in `TENSOR_KEYS` order (the
+    (3r, 3t, 33) row never enters a divergence of z-independent data and is
+    not formed), and the (2N+1,) max-plus convolution of the operands' mode
+    tail exponents.  The fields need not be real.  Slots that no pair of
+    nonzero operand components reaches are exactly zero.
     """
     if v.cutoff != w.cutoff:
         raise ValueError("cutoff mismatch between convolution operands")
@@ -245,13 +245,9 @@ def tensor_convolution(v: VelocityField, w: VelocityField) -> dict:
     def samples(f):
         # mode n in column n % L, transformed in place to theta samples
         buf = np.zeros((3, grid.n_nodes, L), dtype=complex)
-        for n, trip in f.modes.items():
-            if abs(n) <= N:
-                for a in range(3):
-                    buf[a, :, n % L] = trip[a].values
-        nonzero = np.any(buf != 0, axis=1)[:, span % L]
+        buf[:, :, span % L] = f.values.transpose(1, 2, 0)
         np.fft.ifft(buf, axis=-1, norm="forward", out=buf)
-        return buf, nonzero, np.array([f.mode_tail_exponent(n) for n in span])
+        return buf, np.any(f.values != 0, axis=-1).T, np.max(f.exponents, axis=1)
 
     bv, nz_v, ev = samples(v)
     bw, nz_w, ew = (bv, nz_v, ev) if w is v else samples(w)
@@ -259,18 +255,15 @@ def tensor_convolution(v: VelocityField, w: VelocityField) -> dict:
     np.maximum.at(exps, np.add.outer(span, span) + 2 * N, np.add.outer(ev, ew))
 
     prod = np.empty((grid.n_nodes, L), dtype=complex)
-    out = {n: {} for n in span.tolist()}
-    for key in TENSOR_KEYS:
+    out = np.empty((2 * N + 1, len(TENSOR_KEYS), grid.n_nodes), dtype=complex)
+    for i, key in enumerate(TENSOR_KEYS):
         a, b = _COMP[key[0]], _COMP[key[1]]
         reached = np.convolve(nz_v[a], nz_w[b])[N:3 * N + 1] > 0
         np.multiply(bv[a], bw[b], out=prod)
         np.fft.fft(prod, axis=-1, norm="forward", out=prod)
-        vals = prod.T[span % L]
-        vals[~reached] = 0.0
-        for n, row, e in zip(out, vals, exps[N:3 * N + 1]):
-            tail = envelope_tail(grid, e, row) if np.isfinite(e) and np.any(row) else ZERO_TAIL
-            out[n][key] = ModeProfile(row, n, key, grid, tail)
-    return out
+        out[:, i] = prod.T[span % L]
+        out[~reached, i] = 0.0
+    return out, exps[N:3 * N + 1]
 
 
 def convolution_physical_oracle(v: VelocityField, w: VelocityField, n: int, key: str):
@@ -278,16 +271,8 @@ def convolution_physical_oracle(v: VelocityField, w: VelocityField, n: int, key:
     N = v.cutoff
     M = 4 * N + 1
     theta = 2.0 * np.pi * np.arange(M) / M
-    a = _COMP[key[0]]
-    b = _COMP[key[1]]
-    va = np.zeros((M, v.grid.n_nodes), dtype=complex)
-    wb = np.zeros((M, v.grid.n_nodes), dtype=complex)
-    for m in range(-N, N + 1):
-        if m in v.modes:
-            va += np.exp(1j * m * theta)[:, None] * v.mode_values(m)[a][None, :]
-        if m in w.modes:
-            wb += np.exp(1j * m * theta)[:, None] * w.mode_values(m)[b][None, :]
-    prod = va * wb
+    synth = np.exp(1j * np.outer(theta, np.arange(-N, N + 1)))
+    prod = (synth @ v.values[:, _COMP[key[0]]]) * (synth @ w.values[:, _COMP[key[1]]])
     return np.sum(prod * np.exp(-1j * n * theta)[:, None], axis=0) / M
 
 
@@ -299,15 +284,21 @@ def _nonzero(*profiles) -> bool:
     return any(p.max_abs() > 0.0 for p in profiles)
 
 
-def _solve_one_mode(n, forcing: ForcingSpec, quad_modes, params, grid):
-    """Solve the horizontal and vertical problems of a single mode."""
+def _solve_one_mode(n, forcing: ForcingSpec, quad, params, grid):
+    """Solve the horizontal and vertical problems of a single mode.
+
+    `quad` is None or the `tensor_convolution` (product, exponents) pair
+    of the iterate; its mode n row enters the divergence forcing.
+    """
     g_mode = forcing.g_modes.get(n)
     F_mode = dict(forcing.F_modes.get(n, {}))
 
-    if quad_modes is not None and n in quad_modes:
-        qm = quad_modes[n]
-        for key in TENSOR_KEYS:
-            extra = qm[key].scaled(-1.0)
+    if quad is not None:
+        prod, exps = quad
+        e = exps[n + forcing.cutoff]
+        for key, row in zip(TENSOR_KEYS, prod[n + forcing.cutoff]):
+            tail = envelope_tail(grid, e, row) if np.isfinite(e) and np.any(row) else ZERO_TAIL
+            extra = ModeProfile(row, n, key, grid, tail).scaled(-1.0)
             F_mode[key] = (F_mode[key] + extra) if key in F_mode else extra
 
     parts_h = []
@@ -352,16 +343,21 @@ def apply_T(w: VelocityField, forcing: ForcingSpec, params: HamelParameters,
     if defect > 1e-10:
         raise ValueError(f"iterate violates the reality condition by {defect:.2e}")
     N = forcing.cutoff
-    quad = tensor_convolution(w, w) if w.modes else None
+    if w.cutoff != N:
+        raise ValueError("cutoff mismatch between iterate and forcing")
+    quad = tensor_convolution(w, w) if w.values.any() else None
 
-    result = VelocityField(grid, N, {}, {})
+    result = VelocityField.zero(grid, N)
     for n in range(N + 1):
         sol_h, sol_v = _solve_one_mode(n, forcing, quad, params, grid)
-        result.modes[n] = (sol_h.v_r, sol_h.v_t, sol_v.v_3)
-        result.dmodes[n] = (sol_h.dv_r, sol_h.dv_t, sol_v.dv_3)
-    for n in range(1, N + 1):
-        result.modes[-n] = tuple(p.conjugate() for p in result.modes[n])
-        result.dmodes[-n] = tuple(p.conjugate() for p in result.dmodes[n])
+        for a, (p, dp) in enumerate(((sol_h.v_r, sol_h.dv_r), (sol_h.v_t, sol_h.dv_t),
+                                     (sol_v.v_3, sol_v.dv_3))):
+            result.values[N + n, a] = p.values
+            result.dvalues[N + n, a] = dp.values
+            result.exponents[N + n, a] = p.tail.slowest_exponent()
+    result.values[:N] = np.conj(result.values[:N:-1])
+    result.dvalues[:N] = np.conj(result.dvalues[:N:-1])
+    result.exponents[:N] = result.exponents[:N:-1]
     return result
 
 
@@ -461,24 +457,15 @@ def compute_lambda(params: HamelParameters, c0: float) -> float:
 
 def with_background(fieldv: VelocityField, params: HamelParameters) -> VelocityField:
     """Field of the full flow u = V + v in modal form (background enters mode 0)."""
-    grid = fieldv.grid
-    r = grid.r_nodes
-    v_r, v_t, v_3 = velocity(params, r)
-    dv_r, dv_t, dv_3 = velocity_derivative(params, r)
-    mk = lambda vals, tag, terms: ModeProfile(vals, 0, tag, grid, PowerSum(terms))
-    bg = (mk(v_r.astype(complex), "r", [(-params.gamma, -1.0)]),
-          mk(v_t.astype(complex), "t", [(params.alpha, -1.0)]),
-          mk(v_3.astype(complex), "3", []))
-    dbg = (mk(dv_r.astype(complex), "r", [(params.gamma, -2.0)]),
-           mk(dv_t.astype(complex), "t", [(-params.alpha, -2.0)]),
-           mk(dv_3.astype(complex), "3", []))
-    out = VelocityField(grid, fieldv.cutoff, dict(fieldv.modes), dict(fieldv.dmodes))
-    if 0 in out.modes:
-        out.modes[0] = tuple(a + b for a, b in zip(bg, out.modes[0]))
-        out.dmodes[0] = tuple(a + b for a, b in zip(dbg, out.dmodes[0]))
-    else:
-        out.modes[0] = bg
-        out.dmodes[0] = dbg
+    r = fieldv.grid.r_nodes
+    N = fieldv.cutoff
+    bg = np.array(velocity(params, r))
+    out = VelocityField(fieldv.grid, fieldv.values.copy(), fieldv.dvalues.copy(),
+                        fieldv.exponents.copy())
+    out.values[N] += bg
+    out.dvalues[N] += np.array(velocity_derivative(params, r))
+    # V_r = -gamma / r and V_theta = alpha / r decay like r^-1
+    out.exponents[N] = np.maximum(out.exponents[N], np.where(bg[:, -1] != 0, -1.0, -np.inf))
     return out
 
 
@@ -488,15 +475,15 @@ class FlowAccessor:
     def __init__(self, fieldv: VelocityField, params: HamelParameters):
         self.field = fieldv
         self.params = params
-        self.grid = fieldv.grid
 
     def perturbation(self, r, theta):
         """Polar components (v_r, v_t, v_3) of u - V at (r, theta), complex sum."""
+        N = self.field.cutoff
         out = np.zeros(3, dtype=complex)
-        for n, triple in self.field.modes.items():
+        for n in range(-N, N + 1):
             phase = np.exp(1j * n * theta)
             for a in range(3):
-                out[a] += triple[a].at(r) * phase
+                out[a] += self.field.profile(n, a).at(r) * phase
         return out
 
     def velocity(self, r, theta):
@@ -512,14 +499,6 @@ class FlowAccessor:
             for theta in np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False):
                 worst = max(worst, float(np.max(np.abs(np.imag(self.perturbation(r, theta))))))
         return worst
-
-    def remainder_rms_nodes(self) -> np.ndarray:
-        """sqrt of the theta-mean square of |u - V| at every grid node."""
-        total = np.zeros(self.grid.n_nodes)
-        for n, triple in self.field.modes.items():
-            for p in triple:
-                total += np.abs(p.values) ** 2
-        return np.sqrt(total)
 
 
 def reconstruct_u(fieldv: VelocityField, params: HamelParameters) -> FlowAccessor:

@@ -9,7 +9,9 @@ solve or a product of solves carries an `EnvelopeTail` anchored at the
 r_max value (built by `envelope_tail`); adding an exact tail to an
 envelope folds it into the envelope.  Both kinds evaluate by call and
 share `scaled`, `+`, `moment`, `right_integral_scaled` and
-`slowest_exponent`.
+`slowest_exponent`.  Profiles have no conjugate: the mode -n mirror of a
+real solution is formed on the `VelocityField` arrays, where the envelope
+exponent alone carries the tail.
 """
 
 from __future__ import annotations
@@ -143,9 +145,6 @@ class EnvelopeTail:
     def scaled(self, k):
         return EnvelopeTail(self.exponent, self.anchor * k, self.r_ref)
 
-    def conjugate(self):
-        return EnvelopeTail(self.exponent, self.anchor.conjugate(), self.r_ref)
-
     def __add__(self, other):
         if isinstance(other, EnvelopeTail):
             if other.r_ref != self.r_ref:
@@ -220,11 +219,6 @@ class ModeProfile:
     def scaled(self, k):
         return ModeProfile(self.values * k, self.mode, self.component_tag,
                            self.grid, self.tail.scaled(k))
-
-    def conjugate(self):
-        """Profile of mode -n of a real field whose mode n this is."""
-        return ModeProfile(np.conj(self.values), -self.mode, self.component_tag,
-                           self.grid, self.tail.conjugate())
 
     def __add__(self, other):
         if other.grid is not self.grid:

@@ -17,13 +17,8 @@ from .background import HamelParameters
 from .forcing import bump_profile
 from .grid import RadialGrid
 from .horizontal import HorizontalForcingMode
-from .nonlinear import (
-    ForcingSpec,
-    TENSOR_KEYS,
-    VelocityField,
-    tensor_convolution,
-    with_background,
-)
+from .nonlinear import (ForcingSpec, TENSOR_KEYS, VelocityField, tensor_convolution,
+                        with_background)
 from .profiles import ModeProfile, PowerSum, weighted_sup_norm
 from .spectral import compute_coefficients
 from .vertical import VerticalForcingMode
@@ -162,11 +157,7 @@ def fit_decay(target, fit_window, grid: RadialGrid | None = None) -> DecayFit:
     elif isinstance(target, VelocityField):
         grid = target.grid
         radii = grid.r_nodes
-        total = np.zeros(grid.n_nodes)
-        for n in target.modes:
-            for vals in target.mode_values(n):
-                total += np.abs(vals) ** 2
-        mags = np.sqrt(total)
+        mags = target.theta_rms()
     else:
         radii, mags = target
         radii = np.asarray(radii, dtype=float)
@@ -317,9 +308,9 @@ def weak_ns_residual(fieldv: VelocityField, forcing: ForcingSpec,
             raise ValueError("test function support leaving the domain")
 
     u = with_background(fieldv, params)
-    uu = tensor_convolution(u, u)
+    uu, _ = tensor_convolution(u, u)
+    N = u.cutoff
     r = grid.r_nodes
-    zeros = np.zeros(grid.n_nodes, dtype=complex)
 
     def rint(values):
         return grid.integrate(values * r)
@@ -328,14 +319,8 @@ def weak_ns_residual(fieldv: VelocityField, forcing: ForcingSpec,
     for tf in suite:
         (phi_r, phi_t, phi_3), gphi = tf.gradient_rows(grid)
         m = tf.m
-        gu = u.gradient_values(-m) if -m in u.modes else None
-        t1 = sum(rint(gu[i] * gphi[i]) for i in range(6)) if gu is not None else 0.0
-
-        t2 = 0.0
-        if -m in uu:
-            prods = uu[-m]
-            t2 = sum(rint(prods[key].values * gphi[i])
-                     for i, key in enumerate(TENSOR_KEYS))
+        t1 = sum(rint(gu * gp) for gu, gp in zip(u.gradients(N - m), gphi))
+        t2 = sum(rint(prod * gp) for prod, gp in zip(uu[N - m], gphi))
 
         g_mode = forcing.g_modes.get(-m)
         t3 = 0.0

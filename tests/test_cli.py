@@ -7,7 +7,6 @@ import pytest
 from hamelflow import cli
 from hamelflow.grid import RadialGrid
 from hamelflow.nonlinear import VelocityField
-from hamelflow.profiles import ModeProfile
 
 
 def run_cfg(tmp_path, **kw):
@@ -137,11 +136,12 @@ def test_boundary_error_exit_with_summary(tmp_path, capsys):
 def _old_profile_writer(prof_dir, fieldv):
     """The line-by-line f-string writer the template writer replaced."""
     r = fieldv.grid.r_nodes
-    for n in sorted(fieldv.modes):
-        for tag, p in zip(("vr", "vt", "v3"), fieldv.modes[n]):
+    N = fieldv.cutoff
+    for n in range(-N, N + 1):
+        for tag, values in zip(("vr", "vt", "v3"), fieldv.values[n + N]):
             lines = ["r,re,im"]
             for j in range(len(r)):
-                lines.append(f"{r[j]:.17g},{p.values[j].real:.17g},{p.values[j].imag:.17g}")
+                lines.append(f"{r[j]:.17g},{values[j].real:.17g},{values[j].imag:.17g}")
             (prof_dir / f"mode_{n:+d}_{tag}.csv").write_text("\n".join(lines) + "\n")
 
 
@@ -150,18 +150,16 @@ def test_profile_writer_bytes_and_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     m = grid.n_nodes
     special = np.array([0.0, -0.0, -1.5, 1e-300, -3e-300, 5e-324, 1.0 / 3.0, -2.0 ** 60])
-    fieldv = VelocityField(grid, 2, {}, {})
+    fieldv = VelocityField.zero(grid, 2)
     for n in range(-2, 3):
-        trip = []
-        for k, tag in enumerate("rt3"):
+        for k in range(3):
             re = rng.normal(size=m) * 10.0 ** rng.integers(-300, 300, size=m)
             im = rng.normal(size=m)
             re[:special.size] = special
             im[-special.size:] = special[::-1]
             if (n + k) % 4 == 0:
                 re, im = np.zeros(m), np.zeros(m)
-            trip.append(ModeProfile(re + 1j * im, n, tag, grid))
-        fieldv.modes[n] = tuple(trip)
+            fieldv.values[n + 2, k] = re + 1j * im
 
     new_dir, old_dir = tmp_path / "new", tmp_path / "old"
     cli._write_profiles(new_dir, fieldv)
@@ -173,13 +171,30 @@ def test_profile_writer_bytes_and_round_trip(tmp_path):
     for name in written:
         assert (new_dir / "profiles" / name).read_bytes() == (old_dir / name).read_bytes()
 
-    for n, trip in fieldv.modes.items():
-        for tag, p in zip(("vr", "vt", "v3"), trip):
+    for n, trip in enumerate(fieldv.values, start=-2):
+        for tag, values in zip(("vr", "vt", "v3"), trip):
             lines = (new_dir / "profiles" / f"mode_{n:+d}_{tag}.csv").read_text().splitlines()
             assert lines[0] == "r,re,im"
             rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
             assert np.array_equal(rows[:, 0], grid.r_nodes)
-            assert np.array_equal(rows[:, 1], p.values.real)
-            assert np.array_equal(rows[:, 2], p.values.imag)
+            assert np.array_equal(rows[:, 1], values.real)
+            assert np.array_equal(rows[:, 2], values.imag)
             assert np.array_equal(np.signbit(rows[:, 1:]),
-                                  np.signbit(np.column_stack((p.values.real, p.values.imag))))
+                                  np.signbit(np.column_stack((values.real, values.imag))))
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["--mode-cutoff", "0", "--r-max", "4"], "strictly inside"),
+    (["--mode-cutoff", "0", "--panels", "2", "--r-max", "100"], "collapsed"),
+])
+def test_converged_run_without_room_for_test_functions(tmp_path, argv, reason):
+    # the weak residual's bump support (2, 4) does not fit these grids: the
+    # converged solve is still written, with a null residual and the reason
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--output-dir", str(out)]) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["picard"]["converged"]
+    assert summary["weak_residual"] is None
+    assert reason in summary["weak_residual_error"]
+    assert sorted(p.name for p in (out / "profiles").iterdir()) == [
+        "mode_+0_v3.csv", "mode_+0_vr.csv", "mode_+0_vt.csv"]

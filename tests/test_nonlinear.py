@@ -7,68 +7,96 @@ from hamelflow import vertical as vt
 from hamelflow.background import HamelParameters
 from hamelflow.errors import ContractionError, IterationError
 from hamelflow.forcing import power_envelope_forcing, random_forcing
-from hamelflow.profiles import ZERO_TAIL, ModeProfile, PowerSum, envelope_tail
+from hamelflow.profiles import PowerSum
 
 PARAMS = HamelParameters(alpha=1.0, gamma=4.0, rho=2.5)
 
 
+def put_power(f, n, a, ps):
+    """Set component a of mode n of f to the power sum ps, with its derivative
+    and tail exponent."""
+    r = f.grid.r_nodes
+    f.values[n + f.cutoff, a] = ps(r)
+    f.dvalues[n + f.cutoff, a] = ps.derivative()(r)
+    f.exponents[n + f.cutoff, a] = ps.slowest_exponent()
+
+
 def random_field(grid, seed, cutoff=3, decay=-2.0):
     rng = np.random.default_rng(seed)
-    f = nl.VelocityField(grid, cutoff, {}, {})
+    f = nl.VelocityField.zero(grid, cutoff)
     for n in range(-cutoff, cutoff + 1):
-        trip = []
-        for tag in "rt3":
+        for a in range(3):
             c = rng.normal() + 1j * rng.normal()
-            trip.append(ModeProfile.from_powersum(
-                PowerSum.of((c, decay - rng.uniform(0, 1))), grid, n, tag))
-        f.modes[n] = tuple(trip)
+            put_power(f, n, a, PowerSum.of((c, decay - rng.uniform(0, 1))))
     return f
 
 
 def real_field(grid, seed, cutoff=3, decay=-2.0):
     """Like random_field, but the n >= 0 draws are mirrored to n < 0."""
     rng = np.random.default_rng(seed)
-    f = nl.VelocityField(grid, cutoff, {}, {})
+    f = nl.VelocityField.zero(grid, cutoff)
     for n in range(0, cutoff + 1):
-        trip = []
-        for tag in "rt3":
+        for a in range(3):
             c = rng.normal() + (1j * rng.normal() if n > 0 else 0.0)
-            trip.append(ModeProfile.from_powersum(
-                PowerSum.of((c, decay - rng.uniform(0, 1))), grid, n, tag))
-        f.modes[n] = tuple(trip)
-        if n > 0:
-            f.modes[-n] = tuple(p.conjugate() for p in trip)
+            put_power(f, n, a, PowerSum.of((c, decay - rng.uniform(0, 1))))
+    f.values[:cutoff] = np.conj(f.values[:cutoff:-1])
+    f.dvalues[:cutoff] = np.conj(f.dvalues[:cutoff:-1])
+    f.exponents[:cutoff] = f.exponents[:cutoff:-1]
     return f
 
 
 def direct_convolution(v, w):
     """The O(N^2 M) direct sum over mode pairs: oracle for the FFT product."""
-    grid = v.grid
     N = v.cutoff
-    out = {}
+    acc = np.zeros((2 * N + 1, len(nl.TENSOR_KEYS), v.grid.n_nodes), dtype=complex)
+    exps = np.full(2 * N + 1, -np.inf)
+    ev, ew = v.exponents.max(axis=1), w.exponents.max(axis=1)
     for n in range(-N, N + 1):
-        acc = {key: np.zeros(grid.n_nodes, dtype=complex) for key in nl.TENSOR_KEYS}
-        exps = {key: -np.inf for key in nl.TENSOR_KEYS}
         for m in range(-N, N + 1):
             k = n - m
-            if abs(k) > N or m not in v.modes or k not in w.modes:
+            if abs(k) > N:
                 continue
-            vm = v.mode_values(m)
-            wk = w.mode_values(k)
-            ev = v.mode_tail_exponent(m)
-            ew = w.mode_tail_exponent(k)
-            for key in nl.TENSOR_KEYS:
-                acc[key] += vm[nl._COMP[key[0]]] * wk[nl._COMP[key[1]]]
-                exps[key] = max(exps[key], ev + ew)
-        prof = {}
-        for key in nl.TENSOR_KEYS:
-            if np.isfinite(exps[key]) and np.any(acc[key]):
-                tail = envelope_tail(grid, exps[key], acc[key])
-            else:
-                tail = ZERO_TAIL
-            prof[key] = ModeProfile(acc[key], n, key, grid, tail)
-        out[n] = prof
-    return out
+            for i, key in enumerate(nl.TENSOR_KEYS):
+                acc[n + N, i] += (v.values[m + N, nl._COMP[key[0]]]
+                                  * w.values[k + N, nl._COMP[key[1]]])
+            exps[n + N] = max(exps[n + N], ev[m + N] + ew[k + N])
+    return acc, exps
+
+
+def gradient_values(f, n):
+    """The six horizontal-gradient components of mode n, formed per mode."""
+    r = f.grid.r_nodes
+    v_r, v_t, v_3 = f.values[n + f.cutoff]
+    i_n = 1j * n
+    return (*f.dvalues[n + f.cutoff],
+            (i_n * v_r - v_t) / r, (i_n * v_t + v_r) / r, i_n * v_3 / r)
+
+
+def x_norm_loop(f, rho):
+    """The per-mode loop x_norm replaced: oracle for the array norm."""
+    r = f.grid.r_nodes
+    w_lo = r ** (rho - 1.0)
+    w_hi = r ** rho
+    val = 0.0
+    grad = 0.0
+    for n in range(-f.cutoff, f.cutoff + 1):
+        val += max(float(np.max(w_lo * np.abs(v))) for v in f.values[n + f.cutoff])
+        grad += max(float(np.max(w_hi * np.abs(gv))) for gv in gradient_values(f, n))
+    return val + grad
+
+
+def field_diff_norm_loop(a, b, rho):
+    """The per-mode loop field_diff_norm replaced: oracle for the array norm."""
+    r = a.grid.r_nodes
+    w_lo = r ** (rho - 1.0)
+    w_hi = r ** rho
+    total = 0.0
+    for n in range(-a.cutoff, a.cutoff + 1):
+        va, vb = a.values[n + a.cutoff], b.values[n + b.cutoff]
+        total += max(float(np.max(w_lo * np.abs(x - y))) for x, y in zip(va, vb))
+        ga, gb = gradient_values(a, n), gradient_values(b, n)
+        total += max(float(np.max(w_hi * np.abs(x - y))) for x, y in zip(ga, gb))
+    return total
 
 
 def direct_mode_solve(forcing, n, params, grid):
@@ -89,30 +117,32 @@ def direct_mode_solve(forcing, n, params, grid):
 def test_convolution_zero_operand(grid):
     v = random_field(grid, 3)
     z = nl.VelocityField.zero(grid, 3)
-    out = nl.tensor_convolution(v, z)
-    assert all(out[n][k].max_abs() == 0.0 for n in out for k in nl.TENSOR_KEYS)
+    prod, _ = nl.tensor_convolution(v, z)
+    assert np.max(np.abs(prod)) == 0.0
 
 
 def test_convolution_single_term(grid):
-    a = nl.VelocityField(grid, 2, {0: tuple(
-        ModeProfile.from_powersum(PowerSum.of((1.0, -2.0)), grid, 0, t) for t in "rt3")}, {})
-    b = nl.VelocityField(grid, 2, {1: tuple(
-        ModeProfile.from_powersum(PowerSum.of((2.0, -3.0)), grid, 1, t) for t in "rt3")}, {})
-    out = nl.tensor_convolution(a, b)
-    populated = [n for n in out if any(out[n][k].max_abs() > 0 for k in nl.TENSOR_KEYS)]
+    a = nl.VelocityField.zero(grid, 2)
+    b = nl.VelocityField.zero(grid, 2)
+    for c in range(3):
+        put_power(a, 0, c, PowerSum.of((1.0, -2.0)))
+        put_power(b, 1, c, PowerSum.of((2.0, -3.0)))
+    prod, _ = nl.tensor_convolution(a, b)
+    populated = [n for n in range(-2, 3) if np.max(np.abs(prod[n + 2])) > 0]
     assert populated == [1]
-    assert np.max(np.abs(out[1]["rt"].values - 2.0 * grid.r_nodes ** -5.0)) < 1e-14
+    rt = nl.TENSOR_KEYS.index("rt")
+    assert np.max(np.abs(prod[1 + 2, rt] - 2.0 * grid.r_nodes ** -5.0)) < 1e-14
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_convolution_against_physical_multiplication(grid, seed):
     v = random_field(grid, seed)
     w = random_field(grid, seed + 100)
-    out = nl.tensor_convolution(v, w)
+    prod, _ = nl.tensor_convolution(v, w)
     for n in (-3, 0, 2):
         for key in ("rr", "t3", "tr"):
             oracle = nl.convolution_physical_oracle(v, w, n, key)
-            assert np.max(np.abs(out[n][key].values - oracle)) < 1e-10
+            assert np.max(np.abs(prod[n + 3, nl.TENSOR_KEYS.index(key)] - oracle)) < 1e-10
 
 
 @pytest.mark.parametrize("cutoff", [0, 1, 2, 5, 24, 32])
@@ -120,16 +150,13 @@ def test_fft_convolution_matches_direct_sum(grid, cutoff):
     v = random_field(grid, 40 + cutoff, cutoff=cutoff)
     w = random_field(grid, 80 + cutoff, cutoff=cutoff)
     for a, b in ((v, w), (v, v)):
-        fast = nl.tensor_convolution(a, b)
-        slow = direct_convolution(a, b)
+        fast, fast_exps = nl.tensor_convolution(a, b)
+        slow, slow_exps = direct_convolution(a, b)
         scale = a.scale() * b.scale()
-        assert sorted(fast) == sorted(slow) == list(range(-cutoff, cutoff + 1))
-        for n in slow:
-            for key in nl.TENSOR_KEYS:
-                f, s = fast[n][key], slow[n][key]
-                assert np.max(np.abs(f.values - s.values)) < 1e-14 * scale
-                assert f.tail.slowest_exponent() == s.tail.slowest_exponent()
-                assert (f.mode, f.component_tag) == (n, key)
+        assert fast.shape == slow.shape == (2 * cutoff + 1, 6, grid.n_nodes)
+        assert np.max(np.abs(fast - slow)) < 1e-14 * scale
+        assert np.array_equal(fast_exps, slow_exps)
+        assert np.array_equal(np.any(fast, axis=-1), np.any(slow, axis=-1))
 
 
 def test_fft_convolution_exact_zeros(grid):
@@ -138,21 +165,14 @@ def test_fft_convolution_exact_zeros(grid):
     # reached by no pair of nonzero components
     forcing = power_envelope_forcing(grid, PARAMS, 1e-3, {0: 1.0, 1: 1.0}, cutoff=4)
     first = nl.apply_T(nl.VelocityField.zero(grid, 4), forcing, PARAMS, grid)
-    assert all(first.modes[n][0].max_abs() == 0.0 for n in (2, 3, 4))
-    fast = nl.tensor_convolution(first, first)
-    slow = direct_convolution(first, first)
-    zeros = 0
-    for n in slow:
-        for key in nl.TENSOR_KEYS:
-            f, s = fast[n][key], slow[n][key]
-            if not np.any(s.values):
-                zeros += 1
-                assert not np.any(f.values)
-                assert f.tail is ZERO_TAIL
-            else:
-                assert np.max(np.abs(f.values - s.values)) < 1e-14 * first.scale() ** 2
-                assert f.tail.slowest_exponent() == s.tail.slowest_exponent()
-    assert zeros >= 2 * 2 * len(nl.TENSOR_KEYS)
+    assert all(np.max(np.abs(first.values[n + 4, 0])) == 0.0 for n in (2, 3, 4))
+    fast, fast_exps = nl.tensor_convolution(first, first)
+    slow, slow_exps = direct_convolution(first, first)
+    assert np.array_equal(fast_exps, slow_exps)
+    zero = ~np.any(slow, axis=-1)
+    assert not np.any(fast[zero])
+    assert np.max(np.abs(fast - slow)) < 1e-14 * first.scale() ** 2
+    assert np.count_nonzero(zero) >= 2 * 2 * len(nl.TENSOR_KEYS)
 
 
 def test_convolution_cutoff_mismatch(grid):
@@ -173,8 +193,8 @@ def test_T_at_zero_equals_direct_linear_solves(grid):
     forcing = power_envelope_forcing(grid, PARAMS, 1e-3, {0: 1.0, 1: 0.5})
     out = nl.apply_T(nl.VelocityField.zero(grid, 1), forcing, PARAMS, grid)
     for n in (-1, 0, 1):
-        for got, want in zip(out.modes[n], direct_mode_solve(forcing, n, PARAMS, grid)):
-            assert np.max(np.abs(got.values - want.values)) < 1e-14
+        for got, want in zip(out.values[n + 1], direct_mode_solve(forcing, n, PARAMS, grid)):
+            assert np.max(np.abs(got - want.values)) < 1e-14
 
 
 @pytest.mark.parametrize("alpha", [-3.0, 1.7])
@@ -184,7 +204,8 @@ def test_T_mirrored_modes_equal_direct_solves(grid, alpha):
     forcing = random_forcing(grid, params, 1e-3, seed=5, n_modes=24)
     out = nl.apply_T(nl.VelocityField.zero(grid, 24), forcing, params, grid)
     for n in (-1, -7, -24):
-        for got, want in zip(out.modes[n], direct_mode_solve(forcing, n, params, grid)):
+        got_profiles = (out.profile(n, a) for a in range(3))
+        for got, want in zip(got_profiles, direct_mode_solve(forcing, n, params, grid)):
             assert (got.mode, got.component_tag) == (want.mode, want.component_tag)
             assert np.max(np.abs(got.values - want.values)) < 1e-14 * want.max_abs()
             assert got.tail.slowest_exponent() == want.tail.slowest_exponent()
@@ -196,15 +217,20 @@ def test_T_rejects_non_real_iterate(grid):
         nl.apply_T(random_field(grid, 4, cutoff=1), forcing, PARAMS, grid)
 
 
+def test_T_rejects_cutoff_mismatch(grid):
+    forcing = power_envelope_forcing(grid, PARAMS, 1e-3, {0: 1.0, 1: 0.5}, cutoff=2)
+    with pytest.raises(ValueError, match="cutoff mismatch"):
+        nl.apply_T(real_field(grid, 4, cutoff=1), forcing, PARAMS, grid)
+
+
 def test_T_quadratic_response(grid):
     # ||T(eps w) - T(0)|| scales like eps^2 with a stable constant
     forcing = nl.ForcingSpec(grid, 2)
     base = real_field(grid, 9, cutoff=2, decay=-1.8)
     ratios = []
     for eps in (1e-2, 1e-3):
-        scaled = nl.VelocityField(grid, 2,
-                                  {n: tuple(p.scaled(eps) for p in trip)
-                                   for n, trip in base.modes.items()}, {})
+        scaled = nl.VelocityField(grid, base.values * eps, base.dvalues * eps,
+                                  base.exponents)
         out = nl.apply_T(scaled, forcing, PARAMS, grid)
         ratios.append(nl.x_norm(out, PARAMS.rho) / eps ** 2)
     assert abs(ratios[0] / ratios[1] - 1.0) < 0.02
@@ -269,8 +295,10 @@ def test_bilinear_identity(grid):
     forcing = power_envelope_forcing(grid, PARAMS, 1.0, {0: 1.0, 1: 1.0, 2: 0.5})
     w = nl.apply_T(nl.VelocityField.zero(grid, 2), forcing, PARAMS, grid)
     N = w.cutoff
-    wide = nl.VelocityField(grid, 2 * N, dict(w.modes), dict(w.dmodes))
-    prods = nl.tensor_convolution(wide, wide)
+    pad = ((N, N), (0, 0), (0, 0))
+    wide = nl.VelocityField(grid, np.pad(w.values, pad), np.pad(w.dvalues, pad),
+                            np.pad(w.exponents, pad[:2], constant_values=-np.inf))
+    prods, _ = nl.tensor_convolution(wide, wide)
     r = grid.r_nodes
 
     # modal derivative of the products via the solution derivative data
@@ -280,10 +308,10 @@ def test_bilinear_identity(grid):
             k = n - m
             if abs(k) > N:
                 continue
-            va = w.mode_values(m)[a]
-            vb = w.mode_values(k)[b]
-            da = w.dmodes[m][a].values
-            db = w.dmodes[k][b].values
+            va = w.values[m + N, a]
+            vb = w.values[k + N, b]
+            da = w.dvalues[m + N, a]
+            db = w.dvalues[k + N, b]
             out += da * vb + va * db
         return out
 
@@ -291,8 +319,7 @@ def test_bilinear_identity(grid):
     side_a = np.zeros((3, grid.n_nodes), dtype=complex)
     for n in range(-2 * N, 2 * N + 1):
         ph = np.exp(1j * n * theta)
-        rr, rt, r3 = (prods[n][k].values for k in ("rr", "rt", "r3"))
-        tr, tt, t3 = (prods[n][k].values for k in ("tr", "tt", "t3"))
+        rr, rt, r3, tr, tt, t3 = prods[n + 2 * N]
         side_a[0] += ph * (dprod(n, 0, 0) + rr / r + (1j * n * tr - tt) / r)
         side_a[1] += ph * (dprod(n, 0, 1) + rt / r + (1j * n * tt + tr) / r)
         side_a[2] += ph * (dprod(n, 0, 2) + r3 / r + 1j * n * t3 / r)
@@ -304,9 +331,9 @@ def test_bilinear_identity(grid):
     for n in range(-N, N + 1):
         ph = np.exp(1j * n * theta)
         for a in range(3):
-            vals[a] += ph * w.mode_values(n)[a]
-            dvals[a] += ph * w.dmodes[n][a].values
-            tvals[a] += ph * 1j * n * w.mode_values(n)[a]
+            vals[a] += ph * w.values[n + N, a]
+            dvals[a] += ph * w.dvalues[n + N, a]
+            tvals[a] += ph * 1j * n * w.values[n + N, a]
     side_b = np.zeros((3, grid.n_nodes), dtype=complex)
     side_b[0] = vals[0] * dvals[0] + vals[1] * tvals[0] / r - vals[1] ** 2 / r
     side_b[1] = vals[0] * dvals[1] + vals[1] * tvals[1] / r + vals[0] * vals[1] / r
@@ -340,6 +367,19 @@ def test_reconstruct_u_boundary_matches_data(grid):
     for theta in (0.0, 1.1, 4.4):
         u = acc.velocity(1.0, theta)
         assert np.allclose(u, (-PARAMS.gamma, PARAMS.alpha, 0.0), atol=1e-8)
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 5, 24])
+def test_norms_match_per_mode_loops(grid, cutoff):
+    pairs = ((random_field(grid, 10 + cutoff, cutoff), random_field(grid, 20 + cutoff, cutoff)),
+             (real_field(grid, 30 + cutoff, cutoff), real_field(grid, 40 + cutoff, cutoff)))
+    for a, b in pairs:
+        assert np.any(a.dvalues)
+        for f in (a, b):
+            want = x_norm_loop(f, PARAMS.rho)
+            assert abs(nl.x_norm(f, PARAMS.rho) - want) <= 1e-14 * want
+        want = field_diff_norm_loop(a, b, PARAMS.rho)
+        assert abs(nl.field_diff_norm(a, b, PARAMS.rho) - want) <= 1e-14 * want
 
 
 def test_x_norm_weighted_decay_finite(grid):

@@ -241,11 +241,12 @@ def tensor_convolution(v: VelocityField, w: VelocityField):
     N = v.cutoff
     L = _fft_length(3 * N + 1)
     span = np.arange(-N, N + 1)
+    cols = span % L  # mode n sits in FFT column n % L
 
     def samples(f):
-        # mode n in column n % L, transformed in place to theta samples
+        # transformed in place to theta samples
         buf = np.zeros((3, grid.n_nodes, L), dtype=complex)
-        buf[:, :, span % L] = f.values.transpose(1, 2, 0)
+        buf[:, :, cols] = f.values.transpose(1, 2, 0)
         np.fft.ifft(buf, axis=-1, norm="forward", out=buf)
         return buf, np.any(f.values != 0, axis=-1).T, np.max(f.exponents, axis=1)
 
@@ -261,7 +262,7 @@ def tensor_convolution(v: VelocityField, w: VelocityField):
         reached = np.convolve(nz_v[a], nz_w[b])[N:3 * N + 1] > 0
         np.multiply(bv[a], bw[b], out=prod)
         np.fft.fft(prod, axis=-1, norm="forward", out=prod)
-        out[:, i] = prod.T[span % L]
+        out[:, i] = prod.T[cols]
         out[~reached, i] = 0.0
     return out, exps[N:3 * N + 1]
 

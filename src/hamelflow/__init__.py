@@ -24,6 +24,7 @@ from .horizontal import (
     solve_mode,
 )
 from .nonlinear import (
+    FlowAccessor,
     ForcingSpec,
     PicardDiagnostics,
     VelocityField,
@@ -31,7 +32,6 @@ from .nonlinear import (
     compute_lambda,
     field_diff_norm,
     picard_iterate,
-    reconstruct_u,
     tensor_convolution,
     value_norm,
     with_background,
@@ -43,7 +43,6 @@ from .profiles import (
     PowerSum,
     WeightedNormReport,
     integrate_weighted,
-    l1_weighted_norm,
     weighted_sup_norm,
 )
 from .spectral import SpectralCoefficients, compute_coefficients

@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import numbers
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,6 +51,9 @@ EXIT_NO_CONTRACTION = 3
 EXIT_BOUNDARY = 4
 
 
+_FIELD_TYPES = {"float": numbers.Real, "int": numbers.Integral, "str": str, "dict": dict}
+
+
 @dataclass
 class RunConfig:
     alpha: float = 0.0
@@ -69,6 +73,10 @@ class RunConfig:
     family_options: dict = field(default_factory=dict)
 
     def validate(self) -> HamelParameters:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _FIELD_TYPES[f.type]):
+                raise AdmissibilityError(f"{f.name}={value!r} must be of type {f.type}")
         try:
             params = HamelParameters(self.alpha, self.gamma, self.rho)
         except AdmissibilityError as exc:
@@ -171,11 +179,12 @@ def run(config: RunConfig) -> int:
     try:
         params = config.validate()
         grid = RadialGrid.build(config.panels, config.gauss_order, config.r_max)
+        # TypeError: an option the family does not take, or of the wrong type
         forcing = build_family(config.family, grid, params, config.epsilon,
                                coefficients=config.coefficients, seed=config.seed,
                                cutoff=config.mode_cutoff, **config.family_options)
         forcing.validate(params)
-    except (AdmissibilityError, TailError, ValueError) as exc:
+    except (AdmissibilityError, TailError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

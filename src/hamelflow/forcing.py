@@ -4,7 +4,9 @@ Three families cover the test surface: exact power-law envelopes that sit
 on the admissible decay boundary, a compactly supported polynomial bump
 that exercises the fast-decay branches, and seeded randomized
 coefficients for property tests.  Coefficients are given for n >= 0 and
-mirrored by conjugation so the physical-space force is real.
+mirrored by conjugation so the physical-space force is real.  Each family
+fills the rows of a `ForcingSpec`: power-law slots with their exponent,
+bump slots with no tail.
 """
 
 from __future__ import annotations
@@ -13,12 +15,10 @@ import numpy as np
 
 from .background import HamelParameters
 from .grid import RadialGrid
-from .nonlinear import ForcingSpec, TENSOR_KEYS
-from .profiles import ModeProfile, PowerSum, ZERO_TAIL
+from .nonlinear import ForcingSpec
+from .profiles import PowerSum
 
 FAMILIES = ("power", "bump", "random")
-
-G_COMPONENTS = ("r", "t", "3")
 
 
 def _mirror(coefficients):
@@ -35,6 +35,14 @@ def _mirror(coefficients):
     return out
 
 
+def _put_power(spec: ForcingSpec, n: int, gp: PowerSum, fp: PowerSum):
+    """Fill every g slot of mode n with gp and every F slot with fp."""
+    r = spec.grid.r_nodes
+    i = n + spec.cutoff
+    spec.g[i], spec.g_exponents[i] = gp(r), gp.slowest_exponent()
+    spec.F[i], spec.F_exponents[i] = fp(r), fp.slowest_exponent()
+
+
 def power_envelope_forcing(grid: RadialGrid, params: HamelParameters, epsilon: float,
                            coefficients: dict, cutoff: int | None = None,
                            g_exponent: float | None = None,
@@ -48,16 +56,10 @@ def power_envelope_forcing(grid: RadialGrid, params: HamelParameters, epsilon: f
     cutoff = max(abs(n) for n in coeff) if cutoff is None else cutoff
     ge = -(2.0 * params.rho - 1.0) if g_exponent is None else g_exponent
     fe = -2.0 * (params.rho - 1.0) if f_exponent is None else f_exponent
-    spec = ForcingSpec(grid, cutoff)
+    spec = ForcingSpec.zero(grid, cutoff)
     for n, c in coeff.items():
-        if abs(n) > cutoff or c == 0:
-            continue
-        gp = PowerSum.of((c * epsilon, ge))
-        fp = PowerSum.of((c * epsilon, fe))
-        spec.g_modes[n] = tuple(ModeProfile.from_powersum(gp, grid, n, a)
-                                for a in G_COMPONENTS)
-        spec.F_modes[n] = {k: ModeProfile.from_powersum(fp, grid, n, k)
-                           for k in TENSOR_KEYS}
+        if abs(n) <= cutoff and c != 0:
+            _put_power(spec, n, PowerSum.of((c * epsilon, ge)), PowerSum.of((c * epsilon, fe)))
     return spec
 
 
@@ -112,15 +114,10 @@ def bump_forcing(grid: RadialGrid, params: HamelParameters, epsilon: float,
     cutoff = max(abs(n) for n in coeff) if cutoff is None else cutoff
     fn, _ = bump_profile(grid, support)
     base = fn(grid.r_nodes).astype(complex)
-    spec = ForcingSpec(grid, cutoff)
+    spec = ForcingSpec.zero(grid, cutoff)
     for n, c in coeff.items():
-        if abs(n) > cutoff or c == 0:
-            continue
-        vals = c * epsilon * base
-        spec.g_modes[n] = tuple(ModeProfile(vals.copy(), n, a, grid, ZERO_TAIL)
-                                for a in G_COMPONENTS)
-        spec.F_modes[n] = {k: ModeProfile(vals.copy(), n, k, grid, ZERO_TAIL)
-                           for k in TENSOR_KEYS}
+        if abs(n) <= cutoff and c != 0:
+            spec.g[n + cutoff] = spec.F[n + cutoff] = c * epsilon * base
     return spec
 
 
@@ -131,20 +128,15 @@ def random_forcing(grid: RadialGrid, params: HamelParameters, epsilon: float,
     cutoff = n_modes if cutoff is None else cutoff
     ge = -(2.0 * params.rho - 1.0)
     fe = -2.0 * (params.rho - 1.0)
-    spec = ForcingSpec(grid, cutoff)
+    spec = ForcingSpec.zero(grid, cutoff)
     for n in range(0, min(n_modes, cutoff) + 1):
         c = rng.normal() + (1j * rng.normal() if n > 0 else 0.0)
-        gp = PowerSum.of((c * epsilon, ge))
-        fp = PowerSum.of((c * epsilon, fe + rng.uniform(-0.5, 0.0)))
-        spec.g_modes[n] = tuple(ModeProfile.from_powersum(gp, grid, n, a)
-                                for a in G_COMPONENTS)
-        spec.F_modes[n] = {k: ModeProfile.from_powersum(fp, grid, n, k)
-                           for k in TENSOR_KEYS}
-        if n > 0:
-            spec.g_modes[-n] = tuple(ModeProfile.from_powersum(gp.conjugate(), grid, -n, a)
-                                     for a in G_COMPONENTS)
-            spec.F_modes[-n] = {k: ModeProfile.from_powersum(fp.conjugate(), grid, -n, k)
-                                for k in TENSOR_KEYS}
+        _put_power(spec, n, PowerSum.of((c * epsilon, ge)),
+                   PowerSum.of((c * epsilon, fe + rng.uniform(-0.5, 0.0))))
+    for rows in (spec.g, spec.F):
+        rows[:cutoff] = np.conj(rows[:cutoff:-1])
+    for exps in (spec.g_exponents, spec.F_exponents):
+        exps[:cutoff] = exps[:cutoff:-1]
     return spec
 
 

@@ -81,24 +81,6 @@ class HorizontalSolutionMode:
     c_n: complex | None = None
     checks: dict = field(default_factory=dict)
 
-    def add(self, other: "HorizontalSolutionMode") -> "HorizontalSolutionMode":
-        merged_omega = None
-        merged_c = None
-        if self.omega is not None and other.omega is not None:
-            merged_omega = self.omega + other.omega
-            merged_c = self.c_n + other.c_n
-        out = HorizontalSolutionMode(
-            self.mode,
-            self.v_r + other.v_r, self.v_t + other.v_t,
-            self.dv_r + other.dv_r, self.dv_t + other.dv_t,
-            merged_omega, merged_c,
-        )
-        out.checks = structural_checks(out)
-        moments = [m.checks["moment_rel"] for m in (self, other) if "moment_rel" in m.checks]
-        if moments:
-            out.checks["moment_rel"] = max(moments)
-        return out
-
 
 # -- exact tails of the kernel integrals for power-law data ----------------
 
@@ -328,11 +310,3 @@ def structural_checks(sol: HorizontalSolutionMode) -> dict:
     out["divergence_rel"] = float(np.max(np.abs(div)) / div_scale) if div_scale > 0 else 0.0
     return out
 
-
-def zero_solution(n: int, grid: RadialGrid) -> HorizontalSolutionMode:
-    z = lambda tag: ModeProfile.zeros(grid, n, tag)
-    sol = HorizontalSolutionMode(n, z("r"), z("t"), z("r"), z("t"),
-                                 None if n == 0 else z("omega"),
-                                 None if n == 0 else 0.0 + 0.0j)
-    sol.checks = structural_checks(sol)
-    return sol

@@ -3,15 +3,20 @@ the fixed-point iteration.
 
 A `VelocityField` is three arrays: values and radial derivatives of the
 modes -N..N, shape (2N+1, 3, M) with mode n at index n + N, and a (2N+1, 3)
-array of tail exponents.  Norms, the reality check, the product and the
-CLI writers work on these arrays; `ModeProfile`s appear only at the edges:
-the per-mode solves, their forcing (`ForcingSpec`, whose exact `PowerSum`
-tails the solvers use) and point evaluation (`VelocityField.profile`).
+array of tail exponents.  A `ForcingSpec` holds the force in the same
+layout: (2N+1, 3, M) pointwise and (2N+1, 6, M) tensor rows, each slot with
+the exponent of its one-term power tail.  Norms, reality checks, the
+product and the CLI writers work on these arrays; `ModeProfile`s appear
+only at the edges: the per-mode solves, whose forcing slots
+`ForcingSpec.profile` wraps with their exact `PowerSum` tails, and point
+evaluation (`VelocityField.profile`).
 
 One application of the map T solves the linearized system with forcing
 g + div(-w (x) w + F).  Force and iterate are real, v_{-n} = conj(v_n),
 and the mode -n operator is the conjugate of the mode n one, so T solves
-n = 0..N and sets mode -n to the conjugate of mode n.  The product is
+n = 0..N, adds every solve of a mode (one per nonzero pointwise or
+divergence block) into the mode's result rows, and sets mode -n to the
+conjugate of mode n.  The product is
 pseudo-spectral (Orszag 1971) on L >= 3N + 1 angles: sample mode n
 collects modes n +- L, which lie beyond the product's |n| <= 2N for
 |n| <= N, so the modes kept are exact.  L is 5-smooth (75 at N = 24;
@@ -35,7 +40,7 @@ from . import vertical as vt
 from .background import HamelParameters, velocity, velocity_derivative
 from .errors import AdmissibilityError, ContractionError, IterationError
 from .grid import RadialGrid
-from .profiles import ModeProfile, ZERO_TAIL, envelope_tail, l1_weighted_norm
+from .profiles import ModeProfile, PowerSum, ZERO_TAIL, envelope_tail
 
 TENSOR_KEYS = ("rr", "rt", "r3", "tr", "tt", "t3")
 _COMP = {"r": 0, "t": 1, "3": 2}
@@ -94,20 +99,23 @@ class VelocityField:
         yield (i_n * v_t + v_r) / r
         yield i_n * v_3 / r
 
-    def scale(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     def reality_defect(self) -> float:
         """Max deviation from v_{a,-n} = conj(v_{a,n}), relative to field scale."""
-        s = self.scale()
-        if s == 0.0:
-            return 0.0
-        N = self.cutoff
-        return float(np.max(np.abs(self.values[N:] - np.conj(self.values[N::-1])))) / s
+        return _reality_defect(self.values)
 
     def theta_rms(self) -> np.ndarray:
         """sqrt of the theta-mean square of |v| at every grid node."""
         return np.sqrt(np.sum(np.abs(self.values) ** 2, axis=(0, 1)))
+
+
+def _reality_defect(*arrays) -> float:
+    """Max deviation from x_{-n} = conj(x_n) over (2N+1, K, M) mode arrays,
+    relative to their largest entry."""
+    scale = max(float(np.max(np.abs(x))) for x in arrays)
+    if scale == 0.0:
+        return 0.0
+    N = len(arrays[0]) // 2
+    return max(float(np.max(np.abs(x[N:] - np.conj(x[N::-1])))) for x in arrays) / scale
 
 
 def _mode_sup(slots, weight) -> np.ndarray:
@@ -143,72 +151,71 @@ def field_diff_norm(a: VelocityField, b: VelocityField, rho: float) -> float:
 
 @dataclass
 class ForcingSpec:
-    """External force f = g + div F by angular mode.
+    """External force f = g + div F by angular mode, in the field layout.
 
-    g_modes maps n to the pointwise triple (f_r, f_t, f_3); F_modes maps
-    n to a dict over TENSOR_KEYS.  Missing modes and missing tensor slots
-    mean zero.
+    `g` (2N+1, 3, M) holds the pointwise triples (f_r, f_t, f_3) and `F`
+    (2N+1, 6, M) the tensor slots in `TENSOR_KEYS` order, mode n at index
+    n + N.  `g_exponents` (2N+1, 3) and `F_exponents` (2N+1, 6) hold each
+    slot's one-term power tail exponent, -inf for no tail; with the r_max
+    value it is the slot's exact tail (`profile`).
     """
 
     grid: RadialGrid
-    cutoff: int
-    g_modes: dict = field(default_factory=dict)
-    F_modes: dict = field(default_factory=dict)
+    g: np.ndarray
+    F: np.ndarray
+    g_exponents: np.ndarray
+    F_exponents: np.ndarray
+
+    @property
+    def cutoff(self) -> int:
+        return len(self.g) // 2
+
+    @staticmethod
+    def zero(grid: RadialGrid, cutoff: int) -> "ForcingSpec":
+        m, k = 2 * cutoff + 1, len(TENSOR_KEYS)
+        return ForcingSpec(grid, np.zeros((m, 3, grid.n_nodes), dtype=complex),
+                           np.zeros((m, k, grid.n_nodes), dtype=complex),
+                           np.full((m, 3), -np.inf), np.full((m, k), -np.inf))
+
+    def profile(self, n: int, key: str) -> ModeProfile:
+        """Slot `key` of mode n ("r", "t", "3" of g or a tensor key of F)
+        with its exact tail, as the mode solvers take it."""
+        i = n + self.cutoff
+        if key in _COMP:
+            vals, e = self.g[i, _COMP[key]], self.g_exponents[i, _COMP[key]]
+        else:
+            j = TENSOR_KEYS.index(key)
+            vals, e = self.F[i, j], self.F_exponents[i, j]
+        tail = PowerSum.of((vals[-1] * self.grid.r_max ** -e, e)) if np.isfinite(e) else ZERO_TAIL
+        return ModeProfile(vals, n, key, self.grid, tail)
 
     def norms(self, rho: float):
         """(l1 norm of g at weight 2 rho - 1, l1 norm of F at weight 2(rho-1))."""
-        g_norm = l1_weighted_norm({n: trip for n, trip in self.g_modes.items()},
-                                  2.0 * rho - 1.0) if self.g_modes else 0.0
-        f_norm = l1_weighted_norm({n: tuple(d.values()) for n, d in self.F_modes.items()},
-                                  2.0 * (rho - 1.0)) if self.F_modes else 0.0
-        return g_norm, f_norm
+        r = self.grid.r_nodes
+        return (float(np.sum(_mode_sup(self.g.transpose(1, 0, 2), r ** (2.0 * rho - 1.0)))),
+                float(np.sum(_mode_sup(self.F.transpose(1, 0, 2), r ** (2.0 * (rho - 1.0))))))
 
     def validate(self, params: HamelParameters):
         """Envelope-class and reality checks for the fixed-point pipeline."""
-        g_bound = -(2.0 * params.rho - 1.0)
-        f_bound = -2.0 * (params.rho - 1.0)
-        for n, trip in self.g_modes.items():
-            for p in trip:
-                e = p.tail.slowest_exponent()
-                if p.max_abs() > 0 and e > g_bound + 1e-9:
-                    raise AdmissibilityError(
-                        f"pointwise forcing envelope exponent {e} at mode {n} "
-                        f"must be <= -(2*rho-1) = {g_bound}")
-        for n, comp in self.F_modes.items():
-            for key, p in comp.items():
-                e = p.tail.slowest_exponent()
-                if p.max_abs() > 0 and e > f_bound + 1e-9:
-                    raise AdmissibilityError(
-                        f"divergence forcing envelope exponent {e} at mode {n} ({key}) "
-                        f"must be <= -2*(rho-1) = {f_bound}")
+        for kind, rows, exps, keys, bound, label in (
+                ("pointwise", self.g, self.g_exponents, "rt3",
+                 -(2.0 * params.rho - 1.0), "-(2*rho-1)"),
+                ("divergence", self.F, self.F_exponents, TENSOR_KEYS,
+                 -2.0 * (params.rho - 1.0), "-2*(rho-1)")):
+            # a slot whose r_max value is zero has no tail (`profile`)
+            bad = np.argwhere((rows[..., -1] != 0) & (exps > bound + 1e-9))
+            if len(bad):
+                i, a = bad[0]
+                raise AdmissibilityError(
+                    f"{kind} forcing envelope exponent {exps[i, a]} at mode "
+                    f"{i - self.cutoff} ({keys[a]}) must be <= {label} = {bound}")
         defect = self.reality_defect()
         if defect > 1e-10:
             raise AdmissibilityError(
                 f"forcing violates the reality condition by {defect:.2e}")
 
     def reality_defect(self) -> float:
-        worst = 0.0
-        scale = 0.0
-        for n, trip in self.g_modes.items():
-            scale = max(scale, *(p.max_abs() for p in trip))
-        for n, comp in self.F_modes.items():
-            scale = max(scale, *(p.max_abs() for p in comp.values()))
-        if scale == 0.0:
-            return 0.0
-        for n in range(0, self.cutoff + 1):
-            gp = self.g_modes.get(n)
-            gm = self.g_modes.get(-n)
-            for a in range(3):
-                vp = gp[a].values if gp else 0.0
-                vm = gm[a].values if gm else 0.0
-                worst = max(worst, float(np.max(np.abs(vm - np.conj(vp)))))
-            fp = self.F_modes.get(n, {})
-            fm = self.F_modes.get(-n, {})
-            for key in TENSOR_KEYS:
-                vp = fp[key].values if key in fp else 0.0
-                vm = fm[key].values if key in fm else 0.0
-                worst = max(worst, float(np.max(np.abs(vm - np.conj(vp)))))
-        return worst / scale
+        return _reality_defect(self.g, self.F)
 
 
 # ---------------------------------------------------------------------------
@@ -281,55 +288,38 @@ def convolution_physical_oracle(v: VelocityField, w: VelocityField, n: int, key:
 # the solve map T
 
 
-def _nonzero(*profiles) -> bool:
-    return any(p.max_abs() > 0.0 for p in profiles)
-
-
-def _solve_one_mode(n, forcing: ForcingSpec, quad, params, grid):
-    """Solve the horizontal and vertical problems of a single mode.
+def _mode_solves(n, forcing: ForcingSpec, quad, params, grid):
+    """Yield (component, value profile, derivative profile) of every solve of
+    mode n: one per nonzero pointwise or divergence block of its forcing.
 
     `quad` is None or the `tensor_convolution` (product, exponents) pair
-    of the iterate; its mode n row enters the divergence forcing.
+    of the iterate; its mode n row joins the divergence forcing.
     """
-    g_mode = forcing.g_modes.get(n)
-    F_mode = dict(forcing.F_modes.get(n, {}))
-
+    i = n + forcing.cutoff
+    F = {key: forcing.profile(n, key) for key in TENSOR_KEYS}
     if quad is not None:
         prod, exps = quad
-        e = exps[n + forcing.cutoff]
-        for key, row in zip(TENSOR_KEYS, prod[n + forcing.cutoff]):
+        e = exps[i]
+        for key, row in zip(TENSOR_KEYS, prod[i]):
             tail = envelope_tail(grid, e, row) if np.isfinite(e) and np.any(row) else ZERO_TAIL
-            extra = ModeProfile(row, n, key, grid, tail).scaled(-1.0)
-            F_mode[key] = (F_mode[key] + extra) if key in F_mode else extra
+            F[key] = F[key] + ModeProfile(row, n, key, grid, tail).scaled(-1.0)
 
-    parts_h = []
-    parts_v = []
-    if g_mode is not None:
-        f_r, f_t, f_3 = g_mode
-        if _nonzero(f_r, f_t):
-            parts_h.append(hz.solve_mode(
-                hz.HorizontalForcingMode(n, pointwise=(f_r, f_t)), params, grid))
-        if _nonzero(f_3):
-            parts_v.append(vt.solve_vertical_mode(
-                vt.VerticalForcingMode(n, pointwise=f_3), params, grid))
-    if F_mode:
-        zeros = ModeProfile.zeros(grid, n, "0")
-        blk = [F_mode.get(k, zeros) for k in ("rr", "rt", "tr", "tt")]
-        if _nonzero(*blk):
-            parts_h.append(hz.solve_mode(
-                hz.HorizontalForcingMode(n, divergence=tuple(blk)), params, grid))
-        vert = [F_mode.get(k, zeros) for k in ("r3", "t3")]
-        if _nonzero(*vert):
-            parts_v.append(vt.solve_vertical_mode(
-                vt.VerticalForcingMode(n, divergence=tuple(vert)), params, grid))
-
-    sol_h = parts_h[0] if parts_h else hz.zero_solution(n, grid)
-    for extra in parts_h[1:]:
-        sol_h = sol_h.add(extra)
-    sol_v = parts_v[0] if parts_v else vt.zero_solution(n, grid)
-    for extra in parts_v[1:]:
-        sol_v = sol_v.add(extra)
-    return sol_h, sol_v
+    if np.any(forcing.g[i, :2]):
+        sol = hz.solve_mode(hz.HorizontalForcingMode(
+            n, pointwise=(forcing.profile(n, "r"), forcing.profile(n, "t"))), params, grid)
+        yield from ((0, sol.v_r, sol.dv_r), (1, sol.v_t, sol.dv_t))
+    if np.any(forcing.g[i, 2]):
+        sol = vt.solve_vertical_mode(vt.VerticalForcingMode(
+            n, pointwise=forcing.profile(n, "3")), params, grid)
+        yield 2, sol.v_3, sol.dv_3
+    blk = tuple(F[key] for key in ("rr", "rt", "tr", "tt"))
+    if any(np.any(p.values) for p in blk):
+        sol = hz.solve_mode(hz.HorizontalForcingMode(n, divergence=blk), params, grid)
+        yield from ((0, sol.v_r, sol.dv_r), (1, sol.v_t, sol.dv_t))
+    vert = (F["r3"], F["t3"])
+    if any(np.any(p.values) for p in vert):
+        sol = vt.solve_vertical_mode(vt.VerticalForcingMode(n, divergence=vert), params, grid)
+        yield 2, sol.v_3, sol.dv_3
 
 
 def apply_T(w: VelocityField, forcing: ForcingSpec, params: HamelParameters,
@@ -350,12 +340,11 @@ def apply_T(w: VelocityField, forcing: ForcingSpec, params: HamelParameters,
 
     result = VelocityField.zero(grid, N)
     for n in range(N + 1):
-        sol_h, sol_v = _solve_one_mode(n, forcing, quad, params, grid)
-        for a, (p, dp) in enumerate(((sol_h.v_r, sol_h.dv_r), (sol_h.v_t, sol_h.dv_t),
-                                     (sol_v.v_3, sol_v.dv_3))):
-            result.values[N + n, a] = p.values
-            result.dvalues[N + n, a] = dp.values
-            result.exponents[N + n, a] = p.tail.slowest_exponent()
+        for a, p, dp in _mode_solves(n, forcing, quad, params, grid):
+            result.values[N + n, a] += p.values
+            result.dvalues[N + n, a] += dp.values
+            result.exponents[N + n, a] = max(result.exponents[N + n, a],
+                                             p.tail.slowest_exponent())
     result.values[:N] = np.conj(result.values[:N:-1])
     result.dvalues[:N] = np.conj(result.dvalues[:N:-1])
     result.exponents[:N] = result.exponents[:N:-1]
@@ -500,7 +489,3 @@ class FlowAccessor:
             for theta in np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False):
                 worst = max(worst, float(np.max(np.abs(np.imag(self.perturbation(r, theta))))))
         return worst
-
-
-def reconstruct_u(fieldv: VelocityField, params: HamelParameters) -> FlowAccessor:
-    return FlowAccessor(fieldv, params)

@@ -1,17 +1,19 @@
-"""Radial mode profiles, power-law tails, and weighted decay norms.
+"""Radial mode profiles, power-law tails, and the weighted sup norm.
 
 A profile stores complex values at the grid nodes together with a tail
 model describing it beyond r_max.  A tail is either exact or an
-envelope.  Exact tails are `PowerSum`s: forcing data built from
-closed-form power laws, the kernel tails of such data, and the empty
-sum `ZERO_TAIL` of compactly supported data.  Everything produced by a
+envelope.  Exact tails are `PowerSum`s: the one-term power law of a
+forcing slot (rebuilt from its r_max value and exponent by
+`ForcingSpec.profile`), the kernel tails of such data, and the empty sum
+`ZERO_TAIL` of compactly supported data.  Everything produced by a
 solve or a product of solves carries an `EnvelopeTail` anchored at the
 r_max value (built by `envelope_tail`); adding an exact tail to an
 envelope folds it into the envelope.  Both kinds evaluate by call and
 share `scaled`, `+`, `moment`, `right_integral_scaled` and
 `slowest_exponent`.  Profiles have no conjugate: the mode -n mirror of a
 real solution is formed on the `VelocityField` arrays, where the envelope
-exponent alone carries the tail.
+exponent alone carries the tail.  The l1-over-modes norms live on the
+field and forcing arrays (`nonlinear`).
 """
 
 from __future__ import annotations
@@ -243,21 +245,6 @@ def weighted_sup_norm(p: ModeProfile, s: float) -> WeightedNormReport:
     weighted = p.grid.r_nodes ** s * np.abs(p.values)
     j = int(np.argmax(weighted))
     return WeightedNormReport(float(weighted[j]), float(p.grid.r_nodes[j]))
-
-
-def l1_weighted_norm(mode_family, s: float) -> float:
-    """Sum over modes of the component-wise max weighted sup norm.
-
-    `mode_family` maps mode index to an iterable of ModeProfiles (the
-    component triple, or any profile collection).
-    """
-    total = 0.0
-    for n, comps in mode_family.items():
-        per_mode = 0.0
-        for p in comps:
-            per_mode = max(per_mode, weighted_sup_norm(p, s).sup_norm_weighted)
-        total += per_mode
-    return total
 
 
 def integrate_weighted(p, exponent: float, r_lo: float = 1.0, r_hi: float = np.inf,

@@ -17,8 +17,7 @@ from .background import HamelParameters
 from .forcing import bump_profile
 from .grid import RadialGrid
 from .horizontal import HorizontalForcingMode
-from .nonlinear import (ForcingSpec, TENSOR_KEYS, VelocityField, tensor_convolution,
-                        with_background)
+from .nonlinear import ForcingSpec, VelocityField, tensor_convolution, with_background
 from .profiles import ModeProfile, PowerSum, weighted_sup_norm
 from .spectral import compute_coefficients
 from .vertical import VerticalForcingMode
@@ -299,6 +298,9 @@ def weak_ns_residual(fieldv: VelocityField, forcing: ForcingSpec,
     Returns {"residual": max normalized residual, "per_test": [...]}.
     """
     grid = fieldv.grid
+    Nf = forcing.cutoff
+    if Nf != fieldv.cutoff:
+        raise ValueError("cutoff mismatch between field and forcing")
     if suite is None:
         suite = make_test_suite(grid)
     for tf in suite:
@@ -322,18 +324,8 @@ def weak_ns_residual(fieldv: VelocityField, forcing: ForcingSpec,
         t1 = sum(rint(gu * gp) for gu, gp in zip(u.gradients(N - m), gphi))
         t2 = sum(rint(prod * gp) for prod, gp in zip(uu[N - m], gphi))
 
-        g_mode = forcing.g_modes.get(-m)
-        t3 = 0.0
-        if g_mode is not None:
-            for comp, phi in zip(g_mode, (phi_r, phi_t, phi_3)):
-                t3 += rint(comp.values * phi)
-
-        t4 = 0.0
-        f_mode = forcing.F_modes.get(-m, {})
-        for i, key in enumerate(TENSOR_KEYS):
-            if key in f_mode:
-                t4 += rint(f_mode[key].values * gphi[i])
-
+        t3 = sum(rint(f * phi) for f, phi in zip(forcing.g[Nf - m], (phi_r, phi_t, phi_3)))
+        t4 = sum(rint(f * gp) for f, gp in zip(forcing.F[Nf - m], gphi))
         energy = sum(rint(np.abs(gphi[i]) ** 2) for i in range(6)).real
         mismatch = abs(t1 - t2 - t3 + t4)
         rows.append({"kind": tf.kind, "m": m,

@@ -53,12 +53,6 @@ class VerticalSolutionMode:
     dv_3: ModeProfile
     checks: dict = field(default_factory=dict)
 
-    def add(self, other: "VerticalSolutionMode") -> "VerticalSolutionMode":
-        out = VerticalSolutionMode(self.mode, self.v_3 + other.v_3,
-                                   self.dv_3 + other.dv_3)
-        out.checks = structural_checks(out)
-        return out
-
 
 def solve_vertical_axisymmetric(forcing: VerticalForcingMode, params: HamelParameters,
                                 grid: RadialGrid) -> VerticalSolutionMode:
@@ -139,9 +133,3 @@ def structural_checks(sol: VerticalSolutionMode) -> dict:
         return {"scale": 0.0, "boundary_rel": 0.0}
     return {"scale": scale, "boundary_rel": abs(sol.v_3.values[0]) / scale}
 
-
-def zero_solution(n: int, grid: RadialGrid) -> VerticalSolutionMode:
-    sol = VerticalSolutionMode(n, ModeProfile.zeros(grid, n, "3"),
-                               ModeProfile.zeros(grid, n, "3"))
-    sol.checks = structural_checks(sol)
-    return sol

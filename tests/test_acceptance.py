@@ -120,17 +120,17 @@ def criterion_3():
     for spec in (power_envelope_forcing(GRID64, params, 1e-3, {0: 1.0, 1: 1.0, 2: 0.5}),
                  bump_forcing(GRID64, params, 1e-3, {0: 1.0, 1: 1.0}),
                  random_forcing(GRID64, params, 1e-3, seed=5, n_modes=2)):
-        for n, trip in spec.g_modes.items():
+        for n in range(-spec.cutoff, spec.cutoff + 1):
+            p = {k: spec.profile(n, k) for k in ("r", "t", "3", *nl.TENSOR_KEYS)}
             solves.append((("horizontal", n), hz.solve_mode(
-                hz.HorizontalForcingMode(n, pointwise=(trip[0], trip[1])), params, GRID64)))
+                hz.HorizontalForcingMode(n, pointwise=(p["r"], p["t"])), params, GRID64)))
             solves.append((("vertical", n), vt.solve_vertical_mode(
-                vt.VerticalForcingMode(n, pointwise=trip[2]), params, GRID64)))
-        for n, comp in spec.F_modes.items():
+                vt.VerticalForcingMode(n, pointwise=p["3"]), params, GRID64)))
             solves.append((("horizontal", n), hz.solve_mode(
                 hz.HorizontalForcingMode(n, divergence=(
-                    comp["rr"], comp["rt"], comp["tr"], comp["tt"])), params, GRID64)))
+                    p["rr"], p["rt"], p["tr"], p["tt"])), params, GRID64)))
             solves.append((("vertical", n), vt.solve_vertical_mode(
-                vt.VerticalForcingMode(n, divergence=(comp["r3"], comp["t3"])),
+                vt.VerticalForcingMode(n, divergence=(p["r3"], p["t3"])),
                 params, GRID64)))
 
     worst = {"boundary_rel": 0.0, "divergence_rel": 0.0, "moment_rel": 0.0}
@@ -270,7 +270,7 @@ def criterion_6():
 def criterion_7():
     params = HamelParameters(1.0, 4.0, 2.5)
     background = vf.weak_ns_residual(nl.VelocityField.zero(GRID64, 2),
-                                     nl.ForcingSpec(GRID64, 2), params)["residual"]
+                                     nl.ForcingSpec.zero(GRID64, 2), params)["residual"]
 
     forcing = power_envelope_forcing(GRID64, params, 1e-3, {0: 1.0, 1: 1.0})
     sol, _ = nl.picard_iterate(forcing, params, GRID64)

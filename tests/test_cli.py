@@ -56,6 +56,21 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "unknown config key 'threads'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config,fragment", [
+    ({"forcing": {"family": "bump", "n_modes": 3}}, "unexpected keyword argument 'n_modes'"),
+    ({"forcing": {"family": "power", "foo": 1}}, "unexpected keyword argument 'foo'"),
+    ({"mode_cutoff": "2"}, "mode_cutoff='2' must be of type int"),
+], ids=["bump-n_modes", "power-foo", "mode_cutoff-str"])
+def test_bad_config_file_exits_2(tmp_path, capsys, config, fragment):
+    # a family option the family does not take, and a value of the wrong type
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg_file), "--output-dir", str(out)]) == cli.EXIT_CONFIG
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_family_lists_families(tmp_path, capsys):
     cfg, _ = run_cfg(tmp_path, family="vortex-soup")
     assert cli.run(cfg) == cli.EXIT_CONFIG

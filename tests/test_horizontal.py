@@ -172,21 +172,6 @@ def test_reconstruction_satisfies_curl_and_divergence(grid):
     assert sol.checks["moment_rel"] < 1e-10
 
 
-def test_add_keeps_moment_residual(grid):
-    # a mode forced by pointwise and divergence data is the sum of two solves
-    n = 2
-    pointwise = hz.solve_mode(hz.HorizontalForcingMode(
-        n, pointwise=(zeros(grid, n), power_profile(grid, 1.0, -4.0, n=n))), PARAMS, grid)
-    divergence = hz.solve_mode(hz.HorizontalForcingMode(
-        n, divergence=(zeros(grid, n), power_profile(grid, 1.0, -3.0, n=n, tag="rt"),
-                       zeros(grid, n), zeros(grid, n))), PARAMS, grid)
-    parts = (pointwise.checks["moment_rel"], divergence.checks["moment_rel"])
-    assert max(parts) > 0.0
-    assert pointwise.add(divergence).checks["moment_rel"] == max(parts)
-    assert divergence.add(pointwise).checks["moment_rel"] == max(parts)
-    assert "moment_rel" not in hz.zero_solution(0, grid).add(hz.zero_solution(0, grid)).checks
-
-
 # -- full-mode round trips -----------------------------------------------------
 
 @pytest.mark.parametrize("n", [1, 2, 5])

@@ -5,9 +5,9 @@ from hamelflow import horizontal as hz
 from hamelflow import nonlinear as nl
 from hamelflow import vertical as vt
 from hamelflow.background import HamelParameters
-from hamelflow.errors import ContractionError, IterationError
-from hamelflow.forcing import power_envelope_forcing, random_forcing
-from hamelflow.profiles import PowerSum
+from hamelflow.errors import AdmissibilityError, ContractionError, IterationError
+from hamelflow.forcing import bump_forcing, power_envelope_forcing, random_forcing
+from hamelflow.profiles import PowerSum, weighted_sup_norm
 
 PARAMS = HamelParameters(alpha=1.0, gamma=4.0, rho=2.5)
 
@@ -100,16 +100,71 @@ def field_diff_norm_loop(a, b, rho):
 
 
 def direct_mode_solve(forcing, n, params, grid):
-    """Solve mode n from the forcing's pieces, without apply_T."""
-    g_r, g_t, g_3 = forcing.g_modes[n]
-    F = forcing.F_modes[n]
-    sol_h = hz.solve_mode(hz.HorizontalForcingMode(n, pointwise=(g_r, g_t)), params, grid)
-    sol_h = sol_h.add(hz.solve_mode(hz.HorizontalForcingMode(
-        n, divergence=(F["rr"], F["rt"], F["tr"], F["tt"])), params, grid))
-    sol_v = vt.solve_vertical_mode(vt.VerticalForcingMode(n, pointwise=g_3), params, grid)
-    sol_v = sol_v.add(vt.solve_vertical_mode(vt.VerticalForcingMode(
-        n, divergence=(F["r3"], F["t3"])), params, grid))
-    return sol_h.v_r, sol_h.v_t, sol_v.v_3
+    """Solve mode n from the forcing's pieces, without apply_T: per component,
+    the summed values of the pointwise and divergence solves and the larger
+    tail exponent."""
+    F = {k: forcing.profile(n, k) for k in nl.TENSOR_KEYS}
+    h = [hz.solve_mode(hz.HorizontalForcingMode(
+             n, pointwise=(forcing.profile(n, "r"), forcing.profile(n, "t"))), params, grid),
+         hz.solve_mode(hz.HorizontalForcingMode(
+             n, divergence=(F["rr"], F["rt"], F["tr"], F["tt"])), params, grid)]
+    v = [vt.solve_vertical_mode(vt.VerticalForcingMode(
+             n, pointwise=forcing.profile(n, "3")), params, grid),
+         vt.solve_vertical_mode(vt.VerticalForcingMode(
+             n, divergence=(F["r3"], F["t3"])), params, grid)]
+    parts = ([s.v_r for s in h], [s.v_t for s in h], [s.v_3 for s in v])
+    return [(p[0].values + p[1].values, max(q.tail.slowest_exponent() for q in p))
+            for p in parts]
+
+
+def forcing_dicts(spec):
+    """The per-mode dicts ForcingSpec held before its arrays: n -> (f_r, f_t,
+    f_3) profiles and n -> {tensor key: profile}."""
+    modes = range(-spec.cutoff, spec.cutoff + 1)
+    return ({n: tuple(spec.profile(n, a) for a in "rt3") for n in modes},
+            {n: {k: spec.profile(n, k) for k in nl.TENSOR_KEYS} for n in modes})
+
+
+def l1_norm_loop(mode_family, s):
+    """The deleted profiles.l1_weighted_norm: sum over modes of the
+    component-wise max weighted sup norm."""
+    return sum(max(weighted_sup_norm(p, s).sup_norm_weighted for p in comps)
+               for comps in mode_family.values())
+
+
+def forcing_norms_loop(spec, rho):
+    g_modes, F_modes = forcing_dicts(spec)
+    return (l1_norm_loop(g_modes, 2.0 * rho - 1.0),
+            l1_norm_loop({n: tuple(d.values()) for n, d in F_modes.items()}, 2.0 * (rho - 1.0)))
+
+
+def forcing_reality_defect_loop(spec):
+    """The dict loop ForcingSpec.reality_defect replaced."""
+    g_modes, F_modes = forcing_dicts(spec)
+    profiles = [p for trip in g_modes.values() for p in trip]
+    profiles += [p for comp in F_modes.values() for p in comp.values()]
+    scale = max(p.max_abs() for p in profiles)
+    if scale == 0.0:
+        return 0.0
+    worst = 0.0
+    for n in range(spec.cutoff + 1):
+        pairs = list(zip(g_modes[n], g_modes[-n]))
+        pairs += [(F_modes[n][k], F_modes[-n][k]) for k in nl.TENSOR_KEYS]
+        for p, m in pairs:
+            worst = max(worst, float(np.max(np.abs(m.values - np.conj(p.values)))))
+    return worst / scale
+
+
+def forcing_verdict_loop(spec, params):
+    """Which check of the dict-based ForcingSpec.validate fails: "envelope",
+    "reality" or None."""
+    g_modes, F_modes = forcing_dicts(spec)
+    for bound, comps in ((-(2.0 * params.rho - 1.0), g_modes.values()),
+                         (-2.0 * (params.rho - 1.0), (d.values() for d in F_modes.values()))):
+        for p in (p for trip in comps for p in trip):
+            if p.max_abs() > 0 and p.tail.slowest_exponent() > bound + 1e-9:
+                return "envelope"
+    return "reality" if forcing_reality_defect_loop(spec) > 1e-10 else None
 
 
 # -- convolution ---------------------------------------------------------------
@@ -152,7 +207,7 @@ def test_fft_convolution_matches_direct_sum(grid, cutoff):
     for a, b in ((v, w), (v, v)):
         fast, fast_exps = nl.tensor_convolution(a, b)
         slow, slow_exps = direct_convolution(a, b)
-        scale = a.scale() * b.scale()
+        scale = np.max(np.abs(a.values)) * np.max(np.abs(b.values))
         assert fast.shape == slow.shape == (2 * cutoff + 1, 6, grid.n_nodes)
         assert np.max(np.abs(fast - slow)) < 1e-14 * scale
         assert np.array_equal(fast_exps, slow_exps)
@@ -171,7 +226,7 @@ def test_fft_convolution_exact_zeros(grid):
     assert np.array_equal(fast_exps, slow_exps)
     zero = ~np.any(slow, axis=-1)
     assert not np.any(fast[zero])
-    assert np.max(np.abs(fast - slow)) < 1e-14 * first.scale() ** 2
+    assert np.max(np.abs(fast - slow)) < 1e-14 * np.max(np.abs(first.values)) ** 2
     assert np.count_nonzero(zero) >= 2 * 2 * len(nl.TENSOR_KEYS)
 
 
@@ -184,17 +239,17 @@ def test_convolution_cutoff_mismatch(grid):
 # -- the map T -----------------------------------------------------------------
 
 def test_T_zero_data(grid):
-    out = nl.apply_T(nl.VelocityField.zero(grid, 2), nl.ForcingSpec(grid, 2),
+    out = nl.apply_T(nl.VelocityField.zero(grid, 2), nl.ForcingSpec.zero(grid, 2),
                      PARAMS, grid)
-    assert out.scale() == 0.0
+    assert np.max(np.abs(out.values)) == 0.0
 
 
 def test_T_at_zero_equals_direct_linear_solves(grid):
     forcing = power_envelope_forcing(grid, PARAMS, 1e-3, {0: 1.0, 1: 0.5})
     out = nl.apply_T(nl.VelocityField.zero(grid, 1), forcing, PARAMS, grid)
     for n in (-1, 0, 1):
-        for got, want in zip(out.values[n + 1], direct_mode_solve(forcing, n, PARAMS, grid)):
-            assert np.max(np.abs(got - want.values)) < 1e-14
+        for got, (want, _) in zip(out.values[n + 1], direct_mode_solve(forcing, n, PARAMS, grid)):
+            assert np.max(np.abs(got - want)) < 1e-14
 
 
 @pytest.mark.parametrize("alpha", [-3.0, 1.7])
@@ -204,11 +259,11 @@ def test_T_mirrored_modes_equal_direct_solves(grid, alpha):
     forcing = random_forcing(grid, params, 1e-3, seed=5, n_modes=24)
     out = nl.apply_T(nl.VelocityField.zero(grid, 24), forcing, params, grid)
     for n in (-1, -7, -24):
-        got_profiles = (out.profile(n, a) for a in range(3))
-        for got, want in zip(got_profiles, direct_mode_solve(forcing, n, params, grid)):
-            assert (got.mode, got.component_tag) == (want.mode, want.component_tag)
-            assert np.max(np.abs(got.values - want.values)) < 1e-14 * want.max_abs()
-            assert got.tail.slowest_exponent() == want.tail.slowest_exponent()
+        for a, (want, want_exp) in enumerate(direct_mode_solve(forcing, n, params, grid)):
+            got = out.profile(n, a)
+            assert (got.mode, got.component_tag) == (n, "rt3"[a])
+            assert np.max(np.abs(got.values - want)) < 1e-14 * np.max(np.abs(want))
+            assert got.tail.slowest_exponent() == want_exp
 
 
 def test_T_rejects_non_real_iterate(grid):
@@ -225,7 +280,7 @@ def test_T_rejects_cutoff_mismatch(grid):
 
 def test_T_quadratic_response(grid):
     # ||T(eps w) - T(0)|| scales like eps^2 with a stable constant
-    forcing = nl.ForcingSpec(grid, 2)
+    forcing = nl.ForcingSpec.zero(grid, 2)
     base = real_field(grid, 9, cutoff=2, decay=-1.8)
     ratios = []
     for eps in (1e-2, 1e-3):
@@ -239,9 +294,9 @@ def test_T_quadratic_response(grid):
 # -- fixed-point iteration -------------------------------------------------------
 
 def test_picard_zero_forcing(grid):
-    sol, diag = nl.picard_iterate(nl.ForcingSpec(grid, 1), PARAMS, grid)
+    sol, diag = nl.picard_iterate(nl.ForcingSpec.zero(grid, 1), PARAMS, grid)
     assert diag.converged and diag.iterations == 1
-    assert sol.scale() == 0.0
+    assert np.max(np.abs(sol.values)) == 0.0
     assert diag.iterate_norms == [0.0]
 
 
@@ -256,8 +311,8 @@ def test_picard_small_data(grid):
     assert all(nrm <= 2.0 * diag.iterate_norms[0] for nrm in diag.iterate_norms)
     # reality is preserved from data to solution
     assert sol.reality_defect() < 1e-10
-    acc = nl.reconstruct_u(sol, PARAMS)
-    assert acc.max_imag([1.0, 2.5, 30.0]) < 1e-10 * sol.scale()
+    acc = nl.FlowAccessor(sol, PARAMS)
+    assert acc.max_imag([1.0, 2.5, 30.0]) < 1e-10 * np.max(np.abs(sol.values))
 
 
 def test_picard_epsilon_halving(grid):
@@ -355,7 +410,7 @@ def test_compute_lambda_values():
 
 
 def test_reconstruct_u_background_only(grid):
-    acc = nl.reconstruct_u(nl.VelocityField.zero(grid, 1), PARAMS)
+    acc = nl.FlowAccessor(nl.VelocityField.zero(grid, 1), PARAMS)
     u = acc.velocity(2.0, 0.7)
     assert np.allclose(u, (-PARAMS.gamma / 2.0, PARAMS.alpha / 2.0, 0.0))
 
@@ -363,7 +418,7 @@ def test_reconstruct_u_background_only(grid):
 def test_reconstruct_u_boundary_matches_data(grid):
     forcing = power_envelope_forcing(grid, PARAMS, 1e-3, {0: 1.0, 1: 1.0})
     sol, _ = nl.picard_iterate(forcing, PARAMS, grid)
-    acc = nl.reconstruct_u(sol, PARAMS)
+    acc = nl.FlowAccessor(sol, PARAMS)
     for theta in (0.0, 1.1, 4.4):
         u = acc.velocity(1.0, theta)
         assert np.allclose(u, (-PARAMS.gamma, PARAMS.alpha, 0.0), atol=1e-8)
@@ -380,6 +435,52 @@ def test_norms_match_per_mode_loops(grid, cutoff):
             assert abs(nl.x_norm(f, PARAMS.rho) - want) <= 1e-14 * want
         want = field_diff_norm_loop(a, b, PARAMS.rho)
         assert abs(nl.field_diff_norm(a, b, PARAMS.rho) - want) <= 1e-14 * want
+
+
+FAMILY_BUILDERS = {
+    "power": lambda grid, N: power_envelope_forcing(
+        grid, PARAMS, 1e-3, {n: 1.0 / (1 + n * n) for n in range(N + 1)}, cutoff=N),
+    "bump": lambda grid, N: bump_forcing(
+        grid, PARAMS, 1e-3, {n: 1.0 / (1 + n * n) for n in range(N + 1)}, cutoff=N),
+    "random": lambda grid, N: random_forcing(grid, PARAMS, 1e-3, seed=7 + N, n_modes=N),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_BUILDERS))
+@pytest.mark.parametrize("cutoff", [0, 2, 24])
+def test_forcing_checks_match_dict_loops(grid, family, cutoff):
+    # the family as built, a mode-0 tail past the envelope bound, a non-real mode
+    specs = [FAMILY_BUILDERS[family](grid, cutoff) for _ in range(3)]
+    specs[1].F[cutoff, 2, -1] += 1e-3
+    specs[1].F_exponents[cutoff, 2] = -1.2
+    specs[2].g[0] *= 1.0 + 1j
+    verdicts = []
+    for spec in specs:
+        for got, want in zip(spec.norms(PARAMS.rho), forcing_norms_loop(spec, PARAMS.rho)):
+            assert want > 0 and abs(got - want) <= 1e-14 * want
+        want = forcing_reality_defect_loop(spec)
+        assert abs(spec.reality_defect() - want) <= 1e-14 * want
+        try:
+            spec.validate(PARAMS)
+            verdict = None
+        except AdmissibilityError as exc:
+            verdict = "envelope" if "envelope" in str(exc) else "reality"
+        assert verdict == forcing_verdict_loop(spec, PARAMS)
+        verdicts.append(verdict)
+    assert verdicts == [None, "envelope", "reality"]
+
+
+def test_forcing_profile_rebuilds_exact_tail(grid):
+    # the r_max value and the exponent give back the family's power law
+    forcing = power_envelope_forcing(grid, PARAMS, 1e-3, {0: 1.0, 1: 0.5 + 0.25j})
+    s = np.array([grid.r_max, 3.0 * grid.r_max, 1e2 * grid.r_max])
+    for n, c in ((0, 1.0), (1, 0.5 + 0.25j), (-1, 0.5 - 0.25j)):
+        for key, e in (("t", -(2.0 * PARAMS.rho - 1.0)), ("rt", -2.0 * (PARAMS.rho - 1.0))):
+            p = forcing.profile(n, key)
+            want = 1e-3 * c * s ** e
+            assert (p.mode, p.component_tag) == (n, key)
+            assert np.all(np.abs(p.tail(s) - want) <= 1e-14 * np.abs(want))
+    assert bump_forcing(grid, PARAMS, 1e-3, {0: 1.0}).profile(0, "rr").tail.terms == ()
 
 
 def test_x_norm_weighted_decay_finite(grid):

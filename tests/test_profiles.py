@@ -11,9 +11,9 @@ from hamelflow.profiles import (
     PowerSum,
     envelope_tail,
     integrate_weighted,
-    l1_weighted_norm,
     weighted_sup_norm,
 )
+from hamelflow.nonlinear import ForcingSpec
 
 
 def profile_from_power(grid, expo, coef=1.0, mode=0):
@@ -56,34 +56,46 @@ def test_weighted_sup_norm_homogeneity(grid, c):
     assert abs(n1 - abs(c) * n0) <= 1e-12 * max(1.0, n0 * abs(c))
 
 
+def l1_norm(grid, fam, s):
+    """ForcingSpec.norms of a forcing whose every g and F slot of mode n holds
+    fam[n], checked equal between the two weights and returned at weight s."""
+    cutoff = max(abs(n) for n in fam)
+    spec = ForcingSpec.zero(grid, cutoff)
+    for n, p in fam.items():
+        spec.g[n + cutoff] = spec.F[n + cutoff] = p.values
+    g_norm, _ = spec.norms((s + 1.0) / 2.0)   # weight 2 rho - 1
+    _, f_norm = spec.norms(s / 2.0 + 1.0)     # weight 2 (rho - 1)
+    assert abs(g_norm - f_norm) <= 1e-14 * g_norm
+    return g_norm
+
+
 def test_l1_norm_single_mode(grid):
-    fam = {0: (profile_from_power(grid, -2.0),)}
-    assert abs(l1_weighted_norm(fam, 2.0) - 1.0) < 1e-14
+    fam = {0: profile_from_power(grid, -2.0)}
+    assert abs(l1_norm(grid, fam, 2.0) - 1.0) < 1e-14
 
 
 def test_l1_norm_additivity(grid):
-    fam = {0: (profile_from_power(grid, -2.0, 0.5),),
-           1: (profile_from_power(grid, -2.0, 0.25, mode=1),)}
-    assert abs(l1_weighted_norm(fam, 2.0) - 0.75) < 1e-14
+    fam = {0: profile_from_power(grid, -2.0, 0.5),
+           1: profile_from_power(grid, -2.0, 0.25, mode=1)}
+    assert abs(l1_norm(grid, fam, 2.0) - 0.75) < 1e-14
 
 
 def test_l1_norm_lorentzian_coefficients(grid):
     # sum_{n=-2..2} c/(1+n^2) with c = 1: 1 + 2/2 + 2/5
-    fam = {n: (profile_from_power(grid, -2.0, 1.0 / (1 + n * n), mode=n),)
+    fam = {n: profile_from_power(grid, -2.0, 1.0 / (1 + n * n), mode=n)
            for n in range(-2, 3)}
-    assert abs(l1_weighted_norm(fam, 2.0) - 2.4) < 1e-14
+    assert abs(l1_norm(grid, fam, 2.0) - 2.4) < 1e-14
 
 
 @settings(max_examples=25, deadline=None)
 @given(e1=st.floats(min_value=-4, max_value=-2), e2=st.floats(min_value=-4, max_value=-2),
        c1=st.floats(min_value=-3, max_value=3), c2=st.floats(min_value=-3, max_value=3))
 def test_l1_norm_triangle_inequality(grid, e1, e2, c1, c2):
-    a = {0: (profile_from_power(grid, e1, c1),)}
-    b = {0: (profile_from_power(grid, e2, c2),)}
-    ab = {0: (a[0][0] + b[0][0],)}
+    a = profile_from_power(grid, e1, c1)
+    b = profile_from_power(grid, e2, c2)
     s = 1.4
-    assert (l1_weighted_norm(ab, s)
-            <= l1_weighted_norm(a, s) + l1_weighted_norm(b, s) + 1e-12)
+    assert (l1_norm(grid, {0: a + b}, s)
+            <= l1_norm(grid, {0: a}, s) + l1_norm(grid, {0: b}, s) + 1e-12)
 
 
 def test_integrate_weighted_textbook(grid):

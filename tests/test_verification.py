@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -87,7 +89,7 @@ def test_manufacture_forcing_dispatch(grid):
 
 def test_weak_residual_pure_background(grid):
     res = vf.weak_ns_residual(nl.VelocityField.zero(grid, 2),
-                              nl.ForcingSpec(grid, 2), PARAMS)
+                              nl.ForcingSpec.zero(grid, 2), PARAMS)
     assert res["residual"] < 1e-12
 
 
@@ -106,16 +108,22 @@ def test_weak_residual_forcing_sensitivity(grid):
     base = vf.weak_ns_residual(sol, forcing, PARAMS, suite)["residual"]
 
     def perturbed(factor):
-        spec = nl.ForcingSpec(grid, forcing.cutoff,
-                              {n: tuple(p.scaled(factor) for p in trip)
-                               for n, trip in forcing.g_modes.items()},
-                              forcing.F_modes)
+        spec = dataclasses.replace(forcing, g=forcing.g * factor)
         return vf.weak_ns_residual(sol, spec, PARAMS, suite)["residual"]
 
     r10 = perturbed(1.1)
     r20 = perturbed(1.2)
     assert r10 > 100.0 * base
     assert abs(r20 / r10 - 2.0) < 0.2
+
+
+def test_weak_residual_rejects_cutoff_mismatch(grid):
+    # forcing rows are indexed by the forcing's own cutoff: a mismatch would
+    # read the wrong mode (or wrap a negative index) instead of failing
+    forcing = power_envelope_forcing(grid, PARAMS, 1e-3, {0: 1.0, 1: 1.0})
+    with pytest.raises(ValueError, match="cutoff mismatch"):
+        vf.weak_ns_residual(nl.VelocityField.zero(grid, 2), forcing, PARAMS,
+                            vf.make_test_suite(grid, modes=(0, 1)))
 
 
 def test_weak_residual_refinement(grid):
@@ -140,7 +148,7 @@ def test_test_function_mode_beyond_cutoff(grid):
     suite = vf.make_test_suite(grid, modes=(0, 1, 2))
     with pytest.raises(ValueError, match="cutoff"):
         vf.weak_ns_residual(nl.VelocityField.zero(grid, 1),
-                            nl.ForcingSpec(grid, 1), PARAMS, suite)
+                            nl.ForcingSpec.zero(grid, 1), PARAMS, suite)
 
 
 # -- proposition sweep ---------------------------------------------------------------

@@ -49,7 +49,6 @@ from .spectral import SpectralCoefficients, compute_coefficients
 from .vertical import (
     VerticalForcingMode,
     VerticalSolutionMode,
-    solve_vertical_axisymmetric,
     solve_vertical_mode,
 )
 

@@ -43,8 +43,6 @@ from .nonlinear import (
 )
 from .verification import fit_decay, make_test_suite, weak_ns_residual
 
-log = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_CONTRACTION = 3
@@ -52,6 +50,11 @@ EXIT_BOUNDARY = 4
 
 
 _FIELD_TYPES = {"float": numbers.Real, "int": numbers.Integral, "str": str, "dict": dict}
+# flag parser of each scalar field; the dict fields are `coefficients`, which
+# has its own JSON flag, and `family_options`, which only a config file sets
+_FLAG_TYPES = {"float": float, "int": int, "str": str}
+# fields that do not change the solve, so the summary leaves them out
+_NOT_IN_SUMMARY = ("output_dir", "family_options")
 
 
 @dataclass
@@ -65,7 +68,8 @@ class RunConfig:
     r_max: float = 1.0e3
     max_iter: int = 50
     tol: float = 1.0e-10
-    family: str = "power"
+    family: str = field(default="power",
+                        metadata={"help": f"forcing family: {', '.join(FAMILIES)}"})
     epsilon: float = 1.0e-3
     coefficients: dict = field(default_factory=lambda: {0: 1.0, 1: 1.0})
     seed: int = 0
@@ -105,16 +109,12 @@ def parse_config(argv=None) -> RunConfig:
         description="Steady exterior-cylinder flow solver: per-mode linear solves "
                     "plus fixed-point iteration around a swirling background.")
     ap.add_argument("--config", type=str, help="JSON file with RunConfig keys")
-    for name, typ in (("alpha", float), ("gamma", float), ("rho", float),
-                      ("mode-cutoff", int), ("panels", int), ("gauss-order", int),
-                      ("r-max", float), ("max-iter", int), ("tol", float),
-                      ("epsilon", float), ("seed", int)):
-        ap.add_argument(f"--{name}", type=typ, default=None)
-    ap.add_argument("--family", type=str, default=None,
-                    help=f"forcing family: {', '.join(FAMILIES)}")
+    flag_fields = [f for f in dataclasses.fields(RunConfig) if f.type in _FLAG_TYPES]
+    for f in flag_fields:
+        ap.add_argument(f"--{f.name.replace('_', '-')}", type=_FLAG_TYPES[f.type],
+                        default=None, help=f.metadata.get("help"))
     ap.add_argument("--coefficients", type=str, default=None,
                     help='JSON map of mode to coefficient, e.g. \'{"0": 1.0, "1": 0.5}\'')
-    ap.add_argument("--output-dir", type=str, default=None)
     ns = ap.parse_args(argv)
 
     cfg = RunConfig()
@@ -132,16 +132,10 @@ def parse_config(argv=None) -> RunConfig:
             if "coefficients" in forcing:
                 cfg.coefficients = _coerce_coefficients(forcing.pop("coefficients"))
             cfg.family_options = forcing
-    for attr, flag in (("alpha", "alpha"), ("gamma", "gamma"), ("rho", "rho"),
-                       ("mode_cutoff", "mode_cutoff"), ("panels", "panels"),
-                       ("gauss_order", "gauss_order"), ("r_max", "r_max"),
-                       ("max_iter", "max_iter"), ("tol", "tol"),
-                       ("epsilon", "epsilon"), ("seed", "seed"),
-                       ("family", "family"),
-                       ("output_dir", "output_dir")):
-        value = getattr(ns, flag)
+    for f in flag_fields:
+        value = getattr(ns, f.name)
         if value is not None:
-            setattr(cfg, attr, value)
+            setattr(cfg, f.name, value)
     if ns.coefficients:
         cfg.coefficients = _coerce_coefficients(json.loads(ns.coefficients))
     cfg.coefficients = _coerce_coefficients(cfg.coefficients)
@@ -193,9 +187,8 @@ def run(config: RunConfig) -> int:
 
     summary = {
         "config": {
-            **{k: getattr(config, k) for k in
-               ("alpha", "gamma", "rho", "mode_cutoff", "panels", "gauss_order",
-                "r_max", "max_iter", "tol", "family", "epsilon", "seed")},
+            **{f.name: getattr(config, f.name) for f in dataclasses.fields(config)
+               if f.name not in _NOT_IN_SUMMARY},
             "coefficients": {str(k): v for k, v in sorted(config.coefficients.items())},
         },
         "lambda_formula_c0_1": compute_lambda(params, 1.0),

@@ -4,7 +4,9 @@ Three families cover the test surface: exact power-law envelopes that sit
 on the admissible decay boundary, a compactly supported polynomial bump
 that exercises the fast-decay branches, and seeded randomized
 coefficients for property tests.  Coefficients are given for n >= 0 and
-mirrored by conjugation so the physical-space force is real.  Each family
+mirrored by conjugation so the physical-space force is real.  Modes beyond
+the cutoff are dropped; a cutoff that drops every nonzero coefficient is an
+`AdmissibilityError`, not a silent zero forcing.  Each family
 fills the rows of a `ForcingSpec`: power-law slots with their exponent,
 bump slots with no tail.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .background import HamelParameters
+from .errors import AdmissibilityError
 from .grid import RadialGrid
 from .nonlinear import ForcingSpec
 from .profiles import PowerSum
@@ -33,6 +36,17 @@ def _mirror(coefficients):
     if 0 in out and abs(out[0].imag) > 0:
         raise ValueError("mode-0 coefficient must be real for a real force")
     return out
+
+
+def _truncate(coefficients: dict, cutoff: int) -> dict:
+    """The nonzero coefficients with |n| <= cutoff; the cutoff must keep one."""
+    nonzero = {n: c for n, c in coefficients.items() if c != 0}
+    kept = {n: c for n, c in nonzero.items() if abs(n) <= cutoff}
+    if nonzero and not kept:
+        raise AdmissibilityError(
+            f"mode cutoff {cutoff} drops every nonzero forcing coefficient "
+            f"(modes {sorted(n for n in nonzero if n >= 0)})")
+    return kept
 
 
 def _put_power(spec: ForcingSpec, n: int, gp: PowerSum, fp: PowerSum):
@@ -57,9 +71,8 @@ def power_envelope_forcing(grid: RadialGrid, params: HamelParameters, epsilon: f
     ge = -(2.0 * params.rho - 1.0) if g_exponent is None else g_exponent
     fe = -2.0 * (params.rho - 1.0) if f_exponent is None else f_exponent
     spec = ForcingSpec.zero(grid, cutoff)
-    for n, c in coeff.items():
-        if abs(n) <= cutoff and c != 0:
-            _put_power(spec, n, PowerSum.of((c * epsilon, ge)), PowerSum.of((c * epsilon, fe)))
+    for n, c in _truncate(coeff, cutoff).items():
+        _put_power(spec, n, PowerSum.of((c * epsilon, ge)), PowerSum.of((c * epsilon, fe)))
     return spec
 
 
@@ -115,15 +128,16 @@ def bump_forcing(grid: RadialGrid, params: HamelParameters, epsilon: float,
     fn, _ = bump_profile(grid, support)
     base = fn(grid.r_nodes).astype(complex)
     spec = ForcingSpec.zero(grid, cutoff)
-    for n, c in coeff.items():
-        if abs(n) <= cutoff and c != 0:
-            spec.g[n + cutoff] = spec.F[n + cutoff] = c * epsilon * base
+    for n, c in _truncate(coeff, cutoff).items():
+        spec.g[n + cutoff] = spec.F[n + cutoff] = c * epsilon * base
     return spec
 
 
 def random_forcing(grid: RadialGrid, params: HamelParameters, epsilon: float,
                    seed: int, n_modes: int = 2, cutoff: int | None = None) -> ForcingSpec:
     """Seeded random complex coefficients on the power-envelope shapes."""
+    if n_modes < 0:
+        raise AdmissibilityError(f"n_modes={n_modes} must be >= 0")
     rng = np.random.default_rng(seed)
     cutoff = n_modes if cutoff is None else cutoff
     ge = -(2.0 * params.rho - 1.0)

@@ -1,9 +1,10 @@
 """Per-mode solver for the horizontal velocity components.
 
 Axisymmetric part: the angular profile solves a second-order ODE whose
-homogeneous solutions are r^{-1} and r^{1-gamma}; the representation
-below is the unique finite-energy solution vanishing on the unit circle
-(the r^{-1} branch is excluded by the energy class, which is how the
+homogeneous solutions are r^{-1} and r^{1-gamma}; the shared Dirichlet
+solve `profiles.dirichlet_solve`, keeping the branch r^{1-gamma}, gives
+the unique finite-energy solution vanishing on the unit circle (the
+r^{-1} branch is excluded by the energy class, which is how the
 construction sidesteps the Stokes paradox).
 
 Non-axisymmetric part: solve for the scalar vorticity mode
@@ -22,7 +23,6 @@ formulas (power prefactor times integral), never finite differences.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,12 +34,11 @@ from .profiles import (
     ModeProfile,
     PowerSum,
     cum_right_full,
+    dirichlet_solve,
     envelope_tail,
     full_moment,
 )
 from .spectral import compute_coefficients
-
-log = logging.getLogger(__name__)
 
 MOMENT_TOL = 1e-8
 _DEGENERATE = 1e-10
@@ -118,37 +117,18 @@ def solve_axisymmetric(forcing: HorizontalForcingMode, params: HamelParameters,
     """Angular profile of mode zero; the radial profile is identically zero."""
     if forcing.mode != 0:
         raise ValueError("solve_axisymmetric expects mode 0 forcing")
-    g = params.gamma
-    r = grid.r_nodes
-
+    la = 1.0 - params.gamma
     if forcing.pointwise is not None:
         _, f_t = forcing.pointwise
-        a_mom = full_moment(grid, 2.0, f_t.values, f_t.tail)
-        cl = grid.cum_left(g, f_t.values)
-        cr = cum_right_full(grid, -2.0, f_t.values, f_t.tail)
-        v = (-a_mom * r ** (1.0 - g) + r * cl + r * cr) / (g - 2.0)
-        dv = ((g - 1.0) * a_mom * r ** (-g) - (g - 1.0) * cl - cr) / (g - 2.0)
-        env = max(f_t.tail.slowest_exponent() + 2.0, 1.0 - g)
+        v, dv, env = dirichlet_solve(grid, la, -1.0, 1, f_t, f_t)
     else:
         _, f_rt, f_tr, _ = forcing.divergence
-        m1 = full_moment(grid, 1.0, f_rt.values, f_rt.tail)
-        m2 = full_moment(grid, 1.0, f_tr.values, f_tr.tail)
-        cl1 = grid.cum_left(g - 1.0, f_rt.values)
-        cl2 = grid.cum_left(g - 1.0, f_tr.values)
-        cr1 = cum_right_full(grid, -1.0, f_rt.values, f_rt.tail)
-        cr2 = cum_right_full(grid, -1.0, f_tr.values, f_tr.tail)
-        v = ((m1 - m2) * r ** (1.0 - g)
-             - (g - 1.0) * cl1 + cl2 - cr1 + cr2) / (g - 2.0)
-        dv = ((1.0 - g) * (m1 - m2) * r ** (-g)
-              + ((1.0 - g) * (-(g - 1.0) * cl1 + cl2) - (-cr1 + cr2)) / r
-              ) / (g - 2.0) - f_rt.values
-        env = max(f_rt.tail.slowest_exponent() + 1.0,
-                  f_tr.tail.slowest_exponent() + 1.0, 1.0 - g)
+        v, dv, env = dirichlet_solve(grid, la, -1.0, 0, f_rt.scaled(la) + f_tr,
+                                     f_tr + f_rt.scaled(-1.0))
 
-    zero = ModeProfile.zeros(grid, 0, "r")
     sol = HorizontalSolutionMode(
         mode=0,
-        v_r=zero,
+        v_r=ModeProfile.zeros(grid, 0, "r"),
         v_t=ModeProfile(v, 0, "t", grid, envelope_tail(grid, env, v)),
         dv_r=ModeProfile.zeros(grid, 0, "r"),
         dv_t=ModeProfile(dv, 0, "t", grid, envelope_tail(grid, env - 1.0, dv)),

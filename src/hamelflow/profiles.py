@@ -14,6 +14,11 @@ share `scaled`, `+`, `moment`, `right_integral_scaled` and
 real solution is formed on the `VelocityField` arrays, where the envelope
 exponent alone carries the tail.  The l1-over-modes norms live on the
 field and forcing arrays (`nonlinear`).
+
+The tail-aware kernel wrappers at the end serve the per-mode solvers;
+`dirichlet_solve` is the one Green's-function solve of an Euler-type
+radial block with v(1) = 0, shared by the vertical solve of every mode and
+the axisymmetric horizontal solve.
 """
 
 from __future__ import annotations
@@ -293,3 +298,30 @@ def cum_right_full(grid: RadialGrid, c, values, tail) -> np.ndarray:
 def full_moment(grid: RadialGrid, a, values, tail) -> complex:
     """int_1^inf s^a h ds, tail included."""
     return complex(grid.node_moment(a, values) + tail.moment(a, grid.r_max))
+
+
+def dirichlet_solve(grid: RadialGrid, la, lb, p, h_left: ModeProfile, h_right: ModeProfile):
+    """Green's-function solve of an Euler-type radial block with v(1) = 0.
+
+    The block has homogeneous solutions r^la and r^lb.  p = 1 takes
+    pointwise data f, passed as both h_left and h_right.  p = 0 takes
+    divergence-form data: after integrating by parts, the left and right
+    kernels see two different combinations h_left and h_right of its
+    slots.  Variation of parameters gives
+
+        v = [r^la int_1^r s^{p-la} h_left + r^lb int_r^inf s^{p-lb} h_right
+             - r^la int_1^inf s^{p-lb} h_right] / (lb - la),
+
+    the decaying solution that keeps the branch r^la, and dv is its
+    Leibniz derivative.  Returns (v, dv, envelope exponent of v).
+    """
+    r = grid.r_nodes
+    cl = grid.cum_left(p - la, h_left.values)
+    cr = cum_right_full(grid, lb - p, h_right.values, h_right.tail)
+    branch = full_moment(grid, p - lb, h_right.values, h_right.tail) * np.exp(la * grid.log_r)
+    rp = r ** p
+    v = (rp * (cl + cr) - branch) / (lb - la)
+    dv = ((rp * (la * cl + lb * cr) - la * branch) / r
+          + rp * (h_left.values - h_right.values)) / (lb - la)
+    slowest = max(h_left.tail.slowest_exponent(), h_right.tail.slowest_exponent())
+    return v, dv, max(slowest + p + 1.0, float(np.real(la)))

@@ -60,9 +60,15 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     ({"forcing": {"family": "bump", "n_modes": 3}}, "unexpected keyword argument 'n_modes'"),
     ({"forcing": {"family": "power", "foo": 1}}, "unexpected keyword argument 'foo'"),
     ({"mode_cutoff": "2"}, "mode_cutoff='2' must be of type int"),
-], ids=["bump-n_modes", "power-foo", "mode_cutoff-str"])
+    ({"mode_cutoff": 2, "forcing": {"coefficients": {"5": 1}}},
+     "mode cutoff 2 drops every nonzero forcing coefficient"),
+    ({"mode_cutoff": 0, "forcing": {"family": "random", "n_modes": -1}},
+     "n_modes=-1 must be >= 0"),
+], ids=["bump-n_modes", "power-foo", "mode_cutoff-str", "power-truncated",
+        "random-n_modes-negative"])
 def test_bad_config_file_exits_2(tmp_path, capsys, config, fragment):
-    # a family option the family does not take, and a value of the wrong type
+    # a family option the family does not take, a value of the wrong type,
+    # and a forcing that the mode cutoff would truncate to nothing
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps(config))
     out = tmp_path / "out"

@@ -47,6 +47,18 @@ def test_axisymmetric_divergence_closed_form(grid):
     assert sol.v_r.max_abs() == 0.0
 
 
+@pytest.mark.parametrize("c", [0.0, 0.5, -1.3])
+def test_axisymmetric_divergence_vs_pointwise_power_data(grid, c):
+    # (F_rt, F_tr) = (r^{-3}, c r^{-3}) drives the angular profile like f_t = (c - 2) r^{-4}
+    sol_div = hz.solve_mode(hz.HorizontalForcingMode(
+        0, divergence=(zeros(grid), power_profile(grid, 1.0, -3.0, tag="rt"),
+                       power_profile(grid, c, -3.0, tag="tr"), zeros(grid))), PARAMS, grid)
+    sol_pw = hz.solve_mode(hz.HorizontalForcingMode(
+        0, pointwise=(zeros(grid), power_profile(grid, c - 2.0, -4.0))), PARAMS, grid)
+    for div, pw in ((sol_div.v_t, sol_pw.v_t), (sol_div.dv_t, sol_pw.dv_t)):
+        assert np.max(np.abs(div.values - pw.values)) < 1e-11 * pw.max_abs()
+
+
 def test_axisymmetric_manufactured_roundtrip(grid):
     rho, gamma = PARAMS.rho, PARAMS.gamma
     target = PowerSum.of((1.0, 1.0 - rho), (-1.0, 1.0 - gamma))

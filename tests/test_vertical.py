@@ -5,7 +5,7 @@ from hamelflow import vertical as vt
 from hamelflow.background import HamelParameters
 from hamelflow.errors import AdmissibilityError
 from hamelflow.forcing import bump_profile
-from hamelflow.profiles import ModeProfile, PowerSum
+from hamelflow.profiles import ModeProfile, PowerSum, envelope_tail
 from hamelflow.spectral import compute_coefficients
 from hamelflow.verification import (
     fit_decay,
@@ -48,6 +48,17 @@ def test_axisymmetric_divergence_closed_form(grid):
         vt.VerticalForcingMode(0, divergence=(f_r3, f_t3)), PARAMS, grid)
     exact = -grid.r_nodes ** -4.0 * (grid.r_nodes ** 2 - 1.0) / 2.0
     assert np.max(np.abs(sol.v_3.values - exact)) < 5e-13
+
+
+def test_axisymmetric_divergence_ignores_angular_envelope(grid):
+    # an envelope tail keeps its exponent when scaled by i n = 0, so the
+    # angular slot must not enter the mode-0 solve at all
+    f_r3 = power_profile(grid, 1.0, -3.0, tag="r3")
+    vals = 7.0 * grid.r_nodes ** -1.5
+    f_t3 = ModeProfile(vals, 0, "t3", grid, envelope_tail(grid, -1.5, vals))
+    sol = vt.solve_vertical_mode(
+        vt.VerticalForcingMode(0, divergence=(f_r3, f_t3)), PARAMS, grid)
+    assert sol.v_3.tail.slowest_exponent() == -2.0
 
 
 def test_axisymmetric_divergence_history_only_support(grid):
@@ -109,6 +120,20 @@ def test_divergence_vs_pointwise_consistency(grid):
         params, grid)
     scale = sol_div.v_3.max_abs()
     assert np.max(np.abs(sol_div.v_3.values - sol_pw.v_3.values)) < 1e-6 * scale
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_divergence_vs_pointwise_power_data(grid, n):
+    # (F_r3, F_t3) = (r^{-3}, 0.5 r^{-3}) has divergence f_3 = (-2 + 0.5 i n) r^{-4};
+    # at n = 0 the angular slot drops out of both forms
+    params = HamelParameters(1.0, 4.0, 2.5)
+    sol_div = vt.solve_vertical_mode(vt.VerticalForcingMode(n, divergence=(
+        power_profile(grid, 1.0, -3.0, n=n, tag="r3"),
+        power_profile(grid, 0.5, -3.0, n=n, tag="t3"))), params, grid)
+    sol_pw = vt.solve_vertical_mode(vt.VerticalForcingMode(
+        n, pointwise=power_profile(grid, -2.0 + 0.5j * n, -4.0, n=n)), params, grid)
+    for div, pw in ((sol_div.v_3, sol_pw.v_3), (sol_div.dv_3, sol_pw.dv_3)):
+        assert np.max(np.abs(div.values - pw.values)) < 1e-11 * pw.max_abs()
 
 
 def test_ode_residual(grid):

@@ -40,12 +40,12 @@ import hamelflow
 from hamelflow.background import HamelParameters
 from hamelflow.forcing import build_family
 from hamelflow.grid import RadialGrid
-from hamelflow.horizontal import HorizontalForcingMode, solve_mode
+from hamelflow.horizontal import solve_mode
 from hamelflow.nonlinear import (VelocityField, apply_T, field_diff_norm,
                                  tensor_convolution, x_norm)
 from hamelflow.profiles import ModeProfile, PowerSum
 from hamelflow.verification import make_test_suite, weak_ns_residual
-from hamelflow.vertical import VerticalForcingMode, solve_vertical_mode
+from hamelflow.vertical import solve_vertical_mode
 
 KERNEL_PANELS = (64, 128, 256, 512)
 SOLVE_MODES = (0, 1, 32)
@@ -101,17 +101,14 @@ def solve_rows(k):
     grid = RadialGrid.build()
     params = HamelParameters(1.0, 4.0, 2.5)
     rows = []
+    zero = ModeProfile.zeros(grid)
+    f_a = ModeProfile.from_powersum(PowerSum.of((1.0, -3.0)), grid)
+    f_b = ModeProfile.from_powersum(PowerSum.of((0.5, -3.2)), grid)
     for n in SOLVE_MODES:
-        def power(coef, expo, tag):
-            return ModeProfile.from_powersum(PowerSum.of((coef, expo)), grid, n, tag)
-        zero = ModeProfile.zeros(grid, n, "0")
-        horizontal = HorizontalForcingMode(
-            n, divergence=(zero, power(1.0, -3.0, "rt"), power(0.5, -3.2, "tr"), zero))
-        vertical = VerticalForcingMode(
-            n, divergence=(power(1.0, -3.0, "r3"), power(0.5, -3.2, "t3")))
         calls = {
-            "solve_mode": lambda: solve_mode(horizontal, params, grid),
-            "solve_vertical_mode": lambda: solve_vertical_mode(vertical, params, grid),
+            "solve_mode": lambda: solve_mode(n, params, grid, divergence=(zero, f_a, f_b, zero)),
+            "solve_vertical_mode": lambda: solve_vertical_mode(n, params, grid,
+                                                               divergence=(f_a, f_b)),
         }
         for name, fn in calls.items():
             rows.append({"kernel": name, "mode": n, "panels": grid.panels,

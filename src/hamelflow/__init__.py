@@ -16,11 +16,9 @@ from .errors import (
 )
 from .grid import RadialGrid
 from .horizontal import (
-    HorizontalForcingMode,
     HorizontalSolutionMode,
     biot_savart,
     compute_vorticity_mode,
-    solve_axisymmetric,
     solve_mode,
 )
 from .nonlinear import (
@@ -46,11 +44,7 @@ from .profiles import (
     weighted_sup_norm,
 )
 from .spectral import SpectralCoefficients, compute_coefficients
-from .vertical import (
-    VerticalForcingMode,
-    VerticalSolutionMode,
-    solve_vertical_mode,
-)
+from .vertical import VerticalSolutionMode, solve_vertical_mode
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -34,13 +34,7 @@ from .errors import (
 )
 from .forcing import FAMILIES, build_family
 from .grid import RadialGrid
-from .nonlinear import (
-    PicardDiagnostics,
-    compute_lambda,
-    picard_iterate,
-    value_norm,
-    x_norm,
-)
+from .nonlinear import compute_lambda, picard_iterate, value_norm, x_norm
 from .verification import fit_decay, make_test_suite, weak_ns_residual
 
 EXIT_OK = 0
@@ -54,7 +48,7 @@ _FIELD_TYPES = {"float": numbers.Real, "int": numbers.Integral, "str": str, "dic
 # has its own JSON flag, and `family_options`, which only a config file sets
 _FLAG_TYPES = {"float": float, "int": int, "str": str}
 # fields that do not change the solve, so the summary leaves them out
-_NOT_IN_SUMMARY = ("output_dir", "family_options")
+_NOT_IN_SUMMARY = ("output_dir",)
 
 
 @dataclass
@@ -198,7 +192,7 @@ def run(config: RunConfig) -> int:
         fieldv, diag = picard_iterate(forcing, params, grid,
                                       max_iter=config.max_iter, tol=config.tol)
     except (ContractionError, IterationError) as exc:
-        summary["picard"] = exc.diagnostics.as_dict() if exc.diagnostics else {}
+        summary["picard"] = dataclasses.asdict(exc.diagnostics) if exc.diagnostics else {}
         summary["error"] = str(exc)
         _dump_summary(out_dir, summary)
         print(f"error: {exc}", file=sys.stderr)
@@ -210,7 +204,7 @@ def run(config: RunConfig) -> int:
         return EXIT_BOUNDARY
 
     g_norm, f_norm = forcing.norms(params.rho)
-    summary["picard"] = diag.as_dict()
+    summary["picard"] = dataclasses.asdict(diag)
     summary["forcing_norms"] = {"g_l1": g_norm, "F_l1": f_norm}
     summary["solution_norms"] = {
         "x_rho": x_norm(fieldv, params.rho),

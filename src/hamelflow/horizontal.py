@@ -1,5 +1,8 @@
 """Per-mode solver for the horizontal velocity components.
 
+`solve_mode(n, params, grid, pointwise=..., divergence=...)` solves one
+mode forced by one block of data and branches on n itself.
+
 Axisymmetric part: the angular profile solves a second-order ODE whose
 homogeneous solutions are r^{-1} and r^{1-gamma}; the shared Dirichlet
 solve `profiles.dirichlet_solve`, keeping the branch r^{1-gamma}, gives
@@ -37,36 +40,12 @@ from .profiles import (
     dirichlet_solve,
     envelope_tail,
     full_moment,
+    one_block,
 )
 from .spectral import compute_coefficients
 
 MOMENT_TOL = 1e-8
 _DEGENERATE = 1e-10
-
-
-@dataclass
-class HorizontalForcingMode:
-    """Forcing of one horizontal mode: pointwise pair or divergence tensor block.
-
-    Exactly one of `pointwise` (f_r, f_t) and `divergence`
-    (f_rr, f_rt, f_tr, f_tt) is populated; `rt` means the (e_r, e_theta)
-    tensor slot.
-    """
-
-    mode: int
-    pointwise: tuple | None = None
-    divergence: tuple | None = None
-
-    def __post_init__(self):
-        if (self.pointwise is None) == (self.divergence is None):
-            raise ValueError("exactly one of pointwise/divergence must be populated")
-
-    @property
-    def profiles(self):
-        return self.pointwise if self.pointwise is not None else self.divergence
-
-    def envelope_exponent(self) -> float:
-        return max(p.tail.slowest_exponent() for p in self.profiles)
 
 
 @dataclass
@@ -110,38 +89,13 @@ def _right_kernel_tail(c, tail):
     return PowerSum(terms)
 
 
-# -- axisymmetric part ------------------------------------------------------
-
-def solve_axisymmetric(forcing: HorizontalForcingMode, params: HamelParameters,
-                       grid: RadialGrid) -> HorizontalSolutionMode:
-    """Angular profile of mode zero; the radial profile is identically zero."""
-    if forcing.mode != 0:
-        raise ValueError("solve_axisymmetric expects mode 0 forcing")
-    la = 1.0 - params.gamma
-    if forcing.pointwise is not None:
-        _, f_t = forcing.pointwise
-        v, dv, env = dirichlet_solve(grid, la, -1.0, 1, f_t, f_t)
-    else:
-        _, f_rt, f_tr, _ = forcing.divergence
-        v, dv, env = dirichlet_solve(grid, la, -1.0, 0, f_rt.scaled(la) + f_tr,
-                                     f_tr + f_rt.scaled(-1.0))
-
-    sol = HorizontalSolutionMode(
-        mode=0,
-        v_r=ModeProfile.zeros(grid, 0, "r"),
-        v_t=ModeProfile(v, 0, "t", grid, envelope_tail(grid, env, v)),
-        dv_r=ModeProfile.zeros(grid, 0, "r"),
-        dv_t=ModeProfile(dv, 0, "t", grid, envelope_tail(grid, env - 1.0, dv)),
-    )
-    sol.checks = structural_checks(sol)
-    return sol
-
-
 # -- non-axisymmetric part ---------------------------------------------------
 
-def compute_vorticity_mode(n: int, forcing: HorizontalForcingMode,
-                           params: HamelParameters, grid: RadialGrid):
-    """Vorticity profile omega_n and its moment constant c_n for mode n != 0."""
+def compute_vorticity_mode(n: int, params: HamelParameters, grid: RadialGrid, *,
+                           pointwise=None, divergence=None):
+    """Vorticity profile omega_n, its moment constant c_n and its envelope
+    exponent for mode n != 0, forced by exactly one block (`solve_mode`)."""
+    one_block(pointwise, divergence)
     if n == 0:
         raise ValueError("axisymmetric mode has no zeta")
     sc = compute_coefficients(n, params.alpha, params.gamma)
@@ -150,8 +104,11 @@ def compute_vorticity_mode(n: int, forcing: HorizontalForcingMode,
     delta = zeta - hg
     r = grid.r_nodes
 
-    if forcing.divergence is not None:
-        f_rr, f_rt, f_tr, f_tt = forcing.divergence
+    # envelope of omega: the data's, one power slower for pointwise data
+    env = max(p.tail.slowest_exponent() for p in pointwise or divergence)
+    env = max(env if pointwise is None else env + 1.0, -(sc.xi + hg))
+    if divergence is not None:
+        f_rr, f_rt, f_tr, f_tt = divergence
         two_zeta = 2.0 * zeta
         g1 = (f_rr.scaled(1j * n * (beta - 1.0) / two_zeta)
               + f_rt.scaled(beta * (beta - 1.0) / two_zeta)
@@ -170,11 +127,9 @@ def compute_vorticity_mode(n: int, forcing: HorizontalForcingMode,
             phi_tail = (f_rt.tail.scaled(-1.0)
                         + lt.times_power(-1.0) + rt.times_power(-1.0))
         else:
-            env = max(forcing.envelope_exponent(), -(sc.xi + hg))
             phi_tail = envelope_tail(grid, env, phi)
-        input_env = forcing.envelope_exponent()
     else:
-        f_r, f_t = forcing.pointwise
+        f_r, f_t = pointwise
         hl = f_r.scaled(1j * n) + f_t.scaled(beta)
         hr = f_r.scaled(-1j * n) + f_t.scaled(delta)
         phi = (-grid.cum_left(beta, hl.values)
@@ -184,17 +139,13 @@ def compute_vorticity_mode(n: int, forcing: HorizontalForcingMode,
         if lt is not None and rt is not None:
             phi_tail = (lt.scaled(-1.0) + rt).scaled(1.0 / (2.0 * zeta))
         else:
-            env = max(forcing.envelope_exponent() + 1.0, -(sc.xi + hg))
             phi_tail = envelope_tail(grid, env, phi)
-        input_env = forcing.envelope_exponent() + 1.0
 
     a_n = float(abs(n))
     c_n = -(zeta + a_n + hg - 2.0) * full_moment(grid, 1.0 - a_n, phi, phi_tail)
     omega_vals = phi + c_n * np.exp(-(zeta + hg) * grid.log_r)
     omega_tail = phi_tail + PowerSum.of((c_n, -(zeta + hg)))
-    omega = ModeProfile(omega_vals, n, "omega", grid, omega_tail)
-    omega_env = max(input_env, -(sc.xi + hg))
-    return omega, complex(c_n), omega_env
+    return ModeProfile(omega_vals, grid, omega_tail), complex(c_n), env
 
 
 def biot_savart(n: int, omega: ModeProfile, envelope_hint: float | None = None):
@@ -229,10 +180,8 @@ def biot_savart(n: int, omega: ModeProfile, envelope_hint: float | None = None):
     if envelope_hint is not None:
         env_omega = max(env_omega, envelope_hint)
     env = max(env_omega + 1.0, -(a_n + 1.0))
-    mk = lambda vals, tag, e: ModeProfile(vals, n, tag, grid,
-                                          envelope_tail(grid, e, vals))
-    return (mk(v_r, "r", env), mk(v_t, "t", env),
-            mk(dv_r, "r", env - 1.0), mk(dv_t, "t", env - 1.0),
+    mk = lambda vals, e: ModeProfile(vals, grid, envelope_tail(grid, e, vals))
+    return (mk(v_r, env), mk(v_t, env), mk(dv_r, env - 1.0), mk(dv_t, env - 1.0),
             abs(moment) / scale if scale > 0 else 0.0)
 
 
@@ -252,24 +201,46 @@ def _abs_moment(grid, a, profile):
     return base + extra
 
 
-def solve_nonaxisymmetric(forcing: HorizontalForcingMode, params: HamelParameters,
-                          grid: RadialGrid) -> HorizontalSolutionMode:
-    n = forcing.mode
-    omega, c_n, omega_env = compute_vorticity_mode(n, forcing, params, grid)
-    v_r, v_t, dv_r, dv_t, moment_rel = biot_savart(n, omega,
-                                                   envelope_hint=omega_env)
+# -- the mode solve -----------------------------------------------------------
+
+def solve_mode(n: int, params: HamelParameters, grid: RadialGrid, *,
+               pointwise=None, divergence=None) -> HorizontalSolutionMode:
+    """Horizontal solve of mode n, forced by exactly one block: `pointwise`
+    (f_r, f_t) or `divergence` (f_rr, f_rt, f_tr, f_tt), where `rt` is the
+    (e_r, e_theta) tensor slot.  A call with neither or both raises
+    ValueError.
+
+    Mode 0 is the Dirichlet solve of the angular profile (the radial
+    profile is identically zero); any other mode is vorticity plus
+    Biot-Savart.
+    """
+    one_block(pointwise, divergence)
+    if n == 0:
+        la = 1.0 - params.gamma
+        if pointwise is not None:
+            _, f_t = pointwise
+            v, dv, env = dirichlet_solve(grid, la, -1.0, 1, f_t, f_t)
+        else:
+            _, f_rt, f_tr, _ = divergence
+            v, dv, env = dirichlet_solve(grid, la, -1.0, 0, f_rt.scaled(la) + f_tr,
+                                         f_tr + f_rt.scaled(-1.0))
+        sol = HorizontalSolutionMode(
+            mode=0,
+            v_r=ModeProfile.zeros(grid),
+            v_t=ModeProfile(v, grid, envelope_tail(grid, env, v)),
+            dv_r=ModeProfile.zeros(grid),
+            dv_t=ModeProfile(dv, grid, envelope_tail(grid, env - 1.0, dv)),
+        )
+        sol.checks = structural_checks(sol)
+        return sol
+
+    omega, c_n, omega_env = compute_vorticity_mode(
+        n, params, grid, pointwise=pointwise, divergence=divergence)
+    v_r, v_t, dv_r, dv_t, moment_rel = biot_savart(n, omega, envelope_hint=omega_env)
     sol = HorizontalSolutionMode(n, v_r, v_t, dv_r, dv_t, omega, c_n)
     sol.checks = structural_checks(sol)
     sol.checks["moment_rel"] = moment_rel
     return sol
-
-
-def solve_mode(forcing: HorizontalForcingMode, params: HamelParameters,
-               grid: RadialGrid) -> HorizontalSolutionMode:
-    """Dispatch on the angular mode of the forcing."""
-    if forcing.mode == 0:
-        return solve_axisymmetric(forcing, params, grid)
-    return solve_nonaxisymmetric(forcing, params, grid)
 
 
 def structural_checks(sol: HorizontalSolutionMode) -> dict:

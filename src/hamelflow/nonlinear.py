@@ -7,9 +7,9 @@ array of tail exponents.  A `ForcingSpec` holds the force in the same
 layout: (2N+1, 3, M) pointwise and (2N+1, 6, M) tensor rows, each slot with
 the exponent of its one-term power tail.  Norms, reality checks, the
 product and the CLI writers work on these arrays; `ModeProfile`s appear
-only at the edges: the per-mode solves, whose forcing slots
-`ForcingSpec.profile` wraps with their exact `PowerSum` tails, and point
-evaluation (`VelocityField.profile`).
+only at the edges: the per-mode solves, which take a mode number and one
+block of forcing slots that `ForcingSpec.profile` wraps with their exact
+`PowerSum` tails, and point evaluation (`VelocityField.profile`).
 
 One application of the map T solves the linearized system with forcing
 g + div(-w (x) w + F).  Force and iterate are real, v_{-n} = conj(v_n),
@@ -82,7 +82,7 @@ class VelocityField:
         vals = self.values[n + self.cutoff, a]
         e = self.exponents[n + self.cutoff, a]
         tail = envelope_tail(self.grid, e, vals) if np.isfinite(e) else ZERO_TAIL
-        return ModeProfile(vals, n, "rt3"[a], self.grid, tail)
+        return ModeProfile(vals, self.grid, tail)
 
     def gradients(self, rows=slice(None)):
         """The six horizontal-gradient components of the modes at `rows`.
@@ -187,7 +187,7 @@ class ForcingSpec:
             j = TENSOR_KEYS.index(key)
             vals, e = self.F[i, j], self.F_exponents[i, j]
         tail = PowerSum.of((vals[-1] * self.grid.r_max ** -e, e)) if np.isfinite(e) else ZERO_TAIL
-        return ModeProfile(vals, n, key, self.grid, tail)
+        return ModeProfile(vals, self.grid, tail)
 
     def norms(self, rho: float):
         """(l1 norm of g at weight 2 rho - 1, l1 norm of F at weight 2(rho-1))."""
@@ -302,23 +302,22 @@ def _mode_solves(n, forcing: ForcingSpec, quad, params, grid):
         e = exps[i]
         for key, row in zip(TENSOR_KEYS, prod[i]):
             tail = envelope_tail(grid, e, row) if np.isfinite(e) and np.any(row) else ZERO_TAIL
-            F[key] = F[key] + ModeProfile(row, n, key, grid, tail).scaled(-1.0)
+            F[key] = F[key] + ModeProfile(row, grid, tail).scaled(-1.0)
 
     if np.any(forcing.g[i, :2]):
-        sol = hz.solve_mode(hz.HorizontalForcingMode(
-            n, pointwise=(forcing.profile(n, "r"), forcing.profile(n, "t"))), params, grid)
+        sol = hz.solve_mode(n, params, grid, pointwise=(forcing.profile(n, "r"),
+                                                        forcing.profile(n, "t")))
         yield from ((0, sol.v_r, sol.dv_r), (1, sol.v_t, sol.dv_t))
     if np.any(forcing.g[i, 2]):
-        sol = vt.solve_vertical_mode(vt.VerticalForcingMode(
-            n, pointwise=forcing.profile(n, "3")), params, grid)
+        sol = vt.solve_vertical_mode(n, params, grid, pointwise=forcing.profile(n, "3"))
         yield 2, sol.v_3, sol.dv_3
     blk = tuple(F[key] for key in ("rr", "rt", "tr", "tt"))
     if any(np.any(p.values) for p in blk):
-        sol = hz.solve_mode(hz.HorizontalForcingMode(n, divergence=blk), params, grid)
+        sol = hz.solve_mode(n, params, grid, divergence=blk)
         yield from ((0, sol.v_r, sol.dv_r), (1, sol.v_t, sol.dv_t))
     vert = (F["r3"], F["t3"])
     if any(np.any(p.values) for p in vert):
-        sol = vt.solve_vertical_mode(vt.VerticalForcingMode(n, divergence=vert), params, grid)
+        sol = vt.solve_vertical_mode(n, params, grid, divergence=vert)
         yield 2, sol.v_3, sol.dv_3
 
 
@@ -364,17 +363,6 @@ class PicardDiagnostics:
     iterations: int = 0
     forcing_norm: float = 0.0
     difference_norms: list = field(default_factory=list)
-
-    def as_dict(self):
-        return {
-            "iterate_norms": list(self.iterate_norms),
-            "contraction_factors": list(self.contraction_factors),
-            "difference_norms": list(self.difference_norms),
-            "converged": self.converged,
-            "lambda_empirical": self.lambda_empirical,
-            "iterations": self.iterations,
-            "forcing_norm": self.forcing_norm,
-        }
 
 
 def picard_iterate(forcing: ForcingSpec, params: HamelParameters, grid: RadialGrid,

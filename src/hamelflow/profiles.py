@@ -1,8 +1,9 @@
 """Radial mode profiles, power-law tails, and the weighted sup norm.
 
 A profile stores complex values at the grid nodes together with a tail
-model describing it beyond r_max.  A tail is either exact or an
-envelope.  Exact tails are `PowerSum`s: the one-term power law of a
+model describing it beyond r_max; its mode and component are given by
+the slot that holds it (a solver argument or a field row).  A tail is
+either exact or an envelope.  Exact tails are `PowerSum`s: the one-term power law of a
 forcing slot (rebuilt from its r_max value and exponent by
 `ForcingSpec.profile`), the kernel tails of such data, and the empty sum
 `ZERO_TAIL` of compactly supported data.  Everything produced by a
@@ -16,9 +17,11 @@ exponent alone carries the tail.  The l1-over-modes norms live on the
 field and forcing arrays (`nonlinear`).
 
 The tail-aware kernel wrappers at the end serve the per-mode solvers;
-`dirichlet_solve` is the one Green's-function solve of an Euler-type
-radial block with v(1) = 0, shared by the vertical solve of every mode and
-the axisymmetric horizontal solve.
+`one_block` is their check that a solve gets exactly one block of data
+(pointwise or divergence), and `dirichlet_solve` is the one
+Green's-function solve of an Euler-type radial block with v(1) = 0,
+shared by the vertical solve of every mode and the axisymmetric
+horizontal solve.
 """
 
 from __future__ import annotations
@@ -81,9 +84,6 @@ class PowerSum:
         if not isinstance(other, PowerSum):
             return NotImplemented
         return PowerSum(self.terms + other.terms)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1.0)
 
     def conjugate(self):
         return PowerSum([(np.conj(c), np.conj(e)) for c, e in self.terms])
@@ -188,8 +188,6 @@ class ModeProfile:
     """Complex radial profile of one cylindrical component at one angular mode."""
 
     values: np.ndarray
-    mode: int
-    component_tag: str
     grid: RadialGrid
     tail: object = field(default_factory=lambda: ZERO_TAIL)
 
@@ -199,16 +197,16 @@ class ModeProfile:
             raise ValueError("profile values not aligned with grid nodes")
 
     @staticmethod
-    def from_powersum(ps: PowerSum, grid: RadialGrid, mode: int = 0, tag: str = "r"):
-        return ModeProfile(ps(grid.r_nodes), mode, tag, grid, ps)
+    def from_powersum(ps: PowerSum, grid: RadialGrid):
+        return ModeProfile(ps(grid.r_nodes), grid, ps)
 
     @staticmethod
-    def from_callable(fn, grid: RadialGrid, mode: int = 0, tag: str = "r", tail=ZERO_TAIL):
-        return ModeProfile(np.asarray(fn(grid.r_nodes), dtype=complex), mode, tag, grid, tail)
+    def from_callable(fn, grid: RadialGrid, tail=ZERO_TAIL):
+        return ModeProfile(np.asarray(fn(grid.r_nodes), dtype=complex), grid, tail)
 
     @staticmethod
-    def zeros(grid: RadialGrid, mode: int = 0, tag: str = "r"):
-        return ModeProfile(np.zeros(grid.n_nodes, dtype=complex), mode, tag, grid, ZERO_TAIL)
+    def zeros(grid: RadialGrid):
+        return ModeProfile(np.zeros(grid.n_nodes, dtype=complex), grid, ZERO_TAIL)
 
     def at(self, r):
         """Point evaluation: panel interpolation inside, tail model beyond r_max."""
@@ -224,14 +222,12 @@ class ModeProfile:
         return out[0] if scalar else out
 
     def scaled(self, k):
-        return ModeProfile(self.values * k, self.mode, self.component_tag,
-                           self.grid, self.tail.scaled(k))
+        return ModeProfile(self.values * k, self.grid, self.tail.scaled(k))
 
     def __add__(self, other):
         if other.grid is not self.grid:
             raise ValueError("profiles live on different grids")
-        return ModeProfile(self.values + other.values, self.mode, self.component_tag,
-                           self.grid, self.tail + other.tail)
+        return ModeProfile(self.values + other.values, self.grid, self.tail + other.tail)
 
     def max_abs(self):
         return float(np.max(np.abs(self.values)))
@@ -298,6 +294,12 @@ def cum_right_full(grid: RadialGrid, c, values, tail) -> np.ndarray:
 def full_moment(grid: RadialGrid, a, values, tail) -> complex:
     """int_1^inf s^a h ds, tail included."""
     return complex(grid.node_moment(a, values) + tail.moment(a, grid.r_max))
+
+
+def one_block(pointwise, divergence):
+    """Check that a mode solve is forced by exactly one block of data."""
+    if (pointwise is None) == (divergence is None):
+        raise ValueError("exactly one of pointwise/divergence must be given")
 
 
 def dirichlet_solve(grid: RadialGrid, la, lb, p, h_left: ModeProfile, h_right: ModeProfile):

@@ -16,11 +16,9 @@ import numpy as np
 from .background import HamelParameters
 from .forcing import bump_profile
 from .grid import RadialGrid
-from .horizontal import HorizontalForcingMode
 from .nonlinear import ForcingSpec, VelocityField, tensor_convolution, with_background
 from .profiles import ModeProfile, PowerSum, weighted_sup_norm
 from .spectral import compute_coefficients
-from .vertical import VerticalForcingMode
 
 _BC_TOL = 1e-10
 
@@ -100,28 +98,26 @@ def manufacture_forcing(targets: dict, params: HamelParameters, grid: RadialGrid
     angular profile for horizontal n = 0, a streamfunction for
     horizontal n != 0, and the scalar profile for vertical modes.
     Returns (forcing_modes, expected) where forcing_modes maps the same
-    keys to HorizontalForcingMode / VerticalForcingMode and expected maps
-    them to tuples of exact PowerSum profiles.
+    keys to the pointwise data of the solve, (f_r, f_t) for horizontal
+    modes and f_3 for vertical ones, and expected maps them to tuples of
+    exact PowerSum profiles.
     """
     forcing_modes = {}
     expected = {}
     for (kind, n), target in targets.items():
         if kind == "vertical":
             f = manufacture_vertical(target, n, params)
-            forcing_modes[(kind, n)] = VerticalForcingMode(
-                n, pointwise=ModeProfile.from_powersum(f, grid, n, "3"))
+            forcing_modes[(kind, n)] = ModeProfile.from_powersum(f, grid)
             expected[(kind, n)] = (target,)
         elif kind == "horizontal" and n == 0:
             f = manufacture_horizontal_axisymmetric(target, params)
-            forcing_modes[(kind, n)] = HorizontalForcingMode(
-                0, pointwise=(ModeProfile.zeros(grid, 0, "r"),
-                              ModeProfile.from_powersum(f, grid, 0, "t")))
+            forcing_modes[(kind, n)] = (ModeProfile.zeros(grid),
+                                        ModeProfile.from_powersum(f, grid))
             expected[(kind, n)] = (PowerSum.zero(), target)
         elif kind == "horizontal":
             f_t, v_r, v_t = manufacture_horizontal_stream(target, n, params)
-            forcing_modes[(kind, n)] = HorizontalForcingMode(
-                n, pointwise=(ModeProfile.zeros(grid, n, "r"),
-                              ModeProfile.from_powersum(f_t, grid, n, "t")))
+            forcing_modes[(kind, n)] = (ModeProfile.zeros(grid),
+                                        ModeProfile.from_powersum(f_t, grid))
             expected[(kind, n)] = (v_r, v_t)
         else:
             raise ValueError(f"unknown target kind {kind!r}")
@@ -390,29 +386,17 @@ def proposition_sweep(params_list, n_values, grid: RadialGrid, branches=None):
     branches = branches or ("horizontal", "vertical_pointwise", "vertical_divergence")
     rows = []
     for params in params_list:
-        fe = -2.0 * (params.rho - 1.0)
-        ge = -(2.0 * params.rho - 1.0)
+        f_unit = ModeProfile.from_powersum(PowerSum.of((1.0, -2.0 * (params.rho - 1.0))), grid)
+        g_unit = ModeProfile.from_powersum(PowerSum.of((1.0, -(2.0 * params.rho - 1.0))), grid)
         for n in n_values:
             for branch in branches:
                 if branch == "horizontal":
-                    probe = {k: ModeProfile.from_powersum(PowerSum.of((1.0, fe)), grid, n, k)
-                             for k in ("rr", "rt", "tr", "tt")}
-                    sol = hz.solve_mode(hz.HorizontalForcingMode(
-                        n, divergence=(probe["rr"], probe["rt"], probe["tr"], probe["tt"])),
-                        params, grid)
-                    forcing_norm = 1.0
+                    sol = hz.solve_mode(n, params, grid, divergence=(f_unit,) * 4)
                 elif branch == "vertical_pointwise":
-                    sol = vt.solve_vertical_mode(vt.VerticalForcingMode(
-                        n, pointwise=ModeProfile.from_powersum(PowerSum.of((1.0, ge)),
-                                                               grid, n, "3")), params, grid)
-                    forcing_norm = 1.0
+                    sol = vt.solve_vertical_mode(n, params, grid, pointwise=g_unit)
                 else:
-                    pr = ModeProfile.from_powersum(PowerSum.of((1.0, fe)), grid, n, "r3")
-                    pt = ModeProfile.from_powersum(PowerSum.of((1.0, fe)), grid, n, "t3")
-                    sol = vt.solve_vertical_mode(vt.VerticalForcingMode(
-                        n, divergence=(pr, pt)), params, grid)
-                    forcing_norm = 1.0
-                gain = measured_gain(branch, sol, n, params) / forcing_norm
+                    sol = vt.solve_vertical_mode(n, params, grid, divergence=(f_unit,) * 2)
+                gain = measured_gain(branch, sol, n, params)
                 shape = proposition_shape(branch, n, params)
                 rows.append({
                     "alpha": params.alpha, "gamma": params.gamma, "rho": params.rho,

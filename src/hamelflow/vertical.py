@@ -7,7 +7,9 @@ solves
 
 with decay at infinity.  The homogeneous exponents are -gamma/2 +- zeta_n,
 so every mode is one `profiles.dirichlet_solve` with branches
-r^{-(zeta_n + gamma/2)} and r^{zeta_n - gamma/2}.  Mode 0 is the case
+r^{-(zeta_n + gamma/2)} and r^{zeta_n - gamma/2}, called as
+`solve_vertical_mode(n, params, grid, pointwise=f_3)` or with
+`divergence=(f_r3, f_t3)`.  Mode 0 is the case
 zeta_0 = gamma/2, set exactly: its branches are r^{-gamma} and 1.  Without
 the background transport the constant branch would degenerate into
 logarithmic growth, which is why gamma > 2 is enforced at parameter
@@ -20,21 +22,8 @@ from dataclasses import dataclass, field
 
 from .background import HamelParameters
 from .grid import RadialGrid
-from .profiles import ModeProfile, dirichlet_solve, envelope_tail
+from .profiles import ModeProfile, dirichlet_solve, envelope_tail, one_block
 from .spectral import compute_coefficients
-
-
-@dataclass
-class VerticalForcingMode:
-    """Forcing of one vertical mode: scalar pointwise profile or (f_r3, f_t3)."""
-
-    mode: int
-    pointwise: ModeProfile | None = None
-    divergence: tuple | None = None
-
-    def __post_init__(self):
-        if (self.pointwise is None) == (self.divergence is None):
-            raise ValueError("exactly one of pointwise/divergence must be populated")
 
 
 @dataclass
@@ -45,19 +34,21 @@ class VerticalSolutionMode:
     checks: dict = field(default_factory=dict)
 
 
-def solve_vertical_mode(forcing: VerticalForcingMode, params: HamelParameters,
-                        grid: RadialGrid) -> VerticalSolutionMode:
-    """Dirichlet solve of mode n; n = 0 is the zeta_0 = gamma/2 case."""
-    n = forcing.mode
+def solve_vertical_mode(n: int, params: HamelParameters, grid: RadialGrid, *,
+                        pointwise=None, divergence=None) -> VerticalSolutionMode:
+    """Dirichlet solve of mode n, forced by exactly one block: the scalar
+    profile `pointwise` (f_3) or the pair `divergence` (f_r3, f_t3).  A call
+    with neither or both raises ValueError.  n = 0 is the zeta_0 = gamma/2
+    case."""
+    one_block(pointwise, divergence)
     hg = params.half_gamma
     zeta = compute_coefficients(n, params.alpha, params.gamma).zeta if n else hg
     beta, delta = zeta + hg, zeta - hg
 
-    if forcing.pointwise is not None:
-        f = forcing.pointwise
-        v, dv, env = dirichlet_solve(grid, -beta, delta, 1, f, f)
+    if pointwise is not None:
+        v, dv, env = dirichlet_solve(grid, -beta, delta, 1, pointwise, pointwise)
     else:
-        f_r3, f_t3 = forcing.divergence
+        f_r3, f_t3 = divergence
         h_left, h_right = f_r3.scaled(-beta), f_r3.scaled(delta)
         if n:  # the angular slot drops out at mode 0
             angular = f_t3.scaled(1j * n)
@@ -66,8 +57,8 @@ def solve_vertical_mode(forcing: VerticalForcingMode, params: HamelParameters,
 
     sol = VerticalSolutionMode(
         mode=n,
-        v_3=ModeProfile(v, n, "3", grid, envelope_tail(grid, env, v)),
-        dv_3=ModeProfile(dv, n, "3", grid, envelope_tail(grid, env - 1.0, dv)),
+        v_3=ModeProfile(v, grid, envelope_tail(grid, env, v)),
+        dv_3=ModeProfile(dv, grid, envelope_tail(grid, env - 1.0, dv)),
     )
     sol.checks = structural_checks(sol)
     return sol

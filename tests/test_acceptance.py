@@ -85,10 +85,10 @@ def _roundtrip_errors(grid, params, collect=None):
     for key, forcing in forcing_modes.items():
         kind, n = key
         if kind == "horizontal":
-            sol = hz.solve_mode(forcing, params, grid)
+            sol = hz.solve_mode(n, params, grid, pointwise=forcing)
             got = (sol.v_r.values, sol.v_t.values)
         else:
-            sol = vt.solve_vertical_mode(forcing, params, grid)
+            sol = vt.solve_vertical_mode(n, params, grid, pointwise=forcing)
             got = (sol.v_3.values,)
         exact = [ps(grid.r_nodes) for ps in expected[key]]
         scale = max(np.max(np.abs(e)) for e in exact)
@@ -123,15 +123,13 @@ def criterion_3():
         for n in range(-spec.cutoff, spec.cutoff + 1):
             p = {k: spec.profile(n, k) for k in ("r", "t", "3", *nl.TENSOR_KEYS)}
             solves.append((("horizontal", n), hz.solve_mode(
-                hz.HorizontalForcingMode(n, pointwise=(p["r"], p["t"])), params, GRID64)))
+                n, params, GRID64, pointwise=(p["r"], p["t"]))))
             solves.append((("vertical", n), vt.solve_vertical_mode(
-                vt.VerticalForcingMode(n, pointwise=p["3"]), params, GRID64)))
+                n, params, GRID64, pointwise=p["3"])))
             solves.append((("horizontal", n), hz.solve_mode(
-                hz.HorizontalForcingMode(n, divergence=(
-                    p["rr"], p["rt"], p["tr"], p["tt"])), params, GRID64)))
+                n, params, GRID64, divergence=(p["rr"], p["rt"], p["tr"], p["tt"]))))
             solves.append((("vertical", n), vt.solve_vertical_mode(
-                vt.VerticalForcingMode(n, divergence=(p["r3"], p["t3"])),
-                params, GRID64)))
+                n, params, GRID64, divergence=(p["r3"], p["t3"]))))
 
     worst = {"boundary_rel": 0.0, "divergence_rel": 0.0, "moment_rel": 0.0}
     for _, sol in solves:
@@ -339,7 +337,7 @@ def criterion_9():
 
         try:
             integrate_weighted(
-                ModeProfile.from_powersum(PowerSum.of((1.0, -2.0)), GRID64, 0, "r"), 1.5)
+                ModeProfile.from_powersum(PowerSum.of((1.0, -2.0)), GRID64), 1.5)
             failures.append("divergent tail integrated")
         except TailError as exc:
             if "non-integrable tail" not in str(exc):

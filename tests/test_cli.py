@@ -130,6 +130,24 @@ def test_byte_identical_summaries(tmp_path):
     assert (out_a / "summary.json").read_bytes() == first
 
 
+def test_summary_config_records_family_options(tmp_path):
+    # n_modes changes the forcing, so two runs that differ only there must
+    # write different config blocks
+    summaries = []
+    for n_modes in (1, 3):
+        cfg_file = tmp_path / f"run{n_modes}.json"
+        cfg_file.write_text(json.dumps(
+            {"mode_cutoff": 3, "forcing": {"family": "random", "n_modes": n_modes}}))
+        out = tmp_path / f"out{n_modes}"
+        assert cli.main(["--config", str(cfg_file), "--output-dir", str(out)]) == cli.EXIT_OK
+        summaries.append(json.loads((out / "summary.json").read_text()))
+    one, three = summaries
+    assert one["config"]["family_options"] == {"n_modes": 1}
+    assert three["config"]["family_options"] == {"n_modes": 3}
+    assert one["config"] != three["config"]
+    assert one["solution_norms"]["x_rho"] != three["solution_norms"]["x_rho"]
+
+
 def test_non_contraction_exit_with_diagnostics(tmp_path, capsys):
     cfg, out = run_cfg(tmp_path, epsilon=1000.0, max_iter=20)
     assert cli.run(cfg) == cli.EXIT_NO_CONTRACTION

@@ -16,8 +16,8 @@ from hamelflow.profiles import (
 from hamelflow.nonlinear import ForcingSpec
 
 
-def profile_from_power(grid, expo, coef=1.0, mode=0):
-    return ModeProfile.from_powersum(PowerSum.of((coef, expo)), grid, mode, "r")
+def profile_from_power(grid, expo, coef=1.0):
+    return ModeProfile.from_powersum(PowerSum.of((coef, expo)), grid)
 
 
 def test_weighted_sup_norm_exact_cancellation(grid):
@@ -76,13 +76,13 @@ def test_l1_norm_single_mode(grid):
 
 def test_l1_norm_additivity(grid):
     fam = {0: profile_from_power(grid, -2.0, 0.5),
-           1: profile_from_power(grid, -2.0, 0.25, mode=1)}
+           1: profile_from_power(grid, -2.0, 0.25)}
     assert abs(l1_norm(grid, fam, 2.0) - 0.75) < 1e-14
 
 
 def test_l1_norm_lorentzian_coefficients(grid):
     # sum_{n=-2..2} c/(1+n^2) with c = 1: 1 + 2/2 + 2/5
-    fam = {n: profile_from_power(grid, -2.0, 1.0 / (1 + n * n), mode=n)
+    fam = {n: profile_from_power(grid, -2.0, 1.0 / (1 + n * n))
            for n in range(-2, 3)}
     assert abs(l1_norm(grid, fam, 2.0) - 2.4) < 1e-14
 

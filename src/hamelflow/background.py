@@ -76,12 +76,6 @@ def boundary_data(params: HamelParameters):
     return (-params.gamma, params.alpha, 0.0)
 
 
-def rotation_2d(params: HamelParameters, r):
-    """2D curl of the horizontal background part; identically zero."""
-    r = _check_domain(r)
-    return np.zeros_like(r)
-
-
 def flux(params: HamelParameters, r):
     """Line integral of V . e_r over the circle of radius r; radius-independent."""
     _check_domain(r)

@@ -92,8 +92,14 @@ class RunConfig:
 
 
 def _coerce_coefficients(raw) -> dict:
-    return {int(k): complex(v).real if complex(v).imag == 0 else complex(v)
-            for k, v in raw.items()}
+    malformed = AdmissibilityError(f"coefficients={raw!r} must map modes to numbers")
+    if not isinstance(raw, dict):
+        raise malformed
+    try:
+        coefficients = {int(k): complex(v) for k, v in raw.items()}
+    except (TypeError, ValueError) as exc:
+        raise malformed from exc
+    return {k: v.real if v.imag == 0 else v for k, v in coefficients.items()}
 
 
 def parse_config(argv=None) -> RunConfig:
@@ -123,15 +129,14 @@ def parse_config(argv=None) -> RunConfig:
         if forcing:
             cfg.family = forcing.pop("family", cfg.family)
             cfg.epsilon = forcing.pop("epsilon", cfg.epsilon)
-            if "coefficients" in forcing:
-                cfg.coefficients = _coerce_coefficients(forcing.pop("coefficients"))
+            cfg.coefficients = forcing.pop("coefficients", cfg.coefficients)
             cfg.family_options = forcing
     for f in flag_fields:
         value = getattr(ns, f.name)
         if value is not None:
             setattr(cfg, f.name, value)
     if ns.coefficients:
-        cfg.coefficients = _coerce_coefficients(json.loads(ns.coefficients))
+        cfg.coefficients = json.loads(ns.coefficients)
     cfg.coefficients = _coerce_coefficients(cfg.coefficients)
     return cfg
 

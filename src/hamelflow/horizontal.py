@@ -26,7 +26,7 @@ formulas (power prefactor times integral), never finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,14 +50,12 @@ _DEGENERATE = 1e-10
 
 @dataclass
 class HorizontalSolutionMode:
-    mode: int
     v_r: ModeProfile
     v_t: ModeProfile
     dv_r: ModeProfile
     dv_t: ModeProfile
     omega: ModeProfile | None = None
     c_n: complex | None = None
-    checks: dict = field(default_factory=dict)
 
 
 # -- exact tails of the kernel integrals for power-law data ----------------
@@ -181,8 +179,7 @@ def biot_savart(n: int, omega: ModeProfile, envelope_hint: float | None = None):
         env_omega = max(env_omega, envelope_hint)
     env = max(env_omega + 1.0, -(a_n + 1.0))
     mk = lambda vals, e: ModeProfile(vals, grid, envelope_tail(grid, e, vals))
-    return (mk(v_r, env), mk(v_t, env), mk(dv_r, env - 1.0), mk(dv_t, env - 1.0),
-            abs(moment) / scale if scale > 0 else 0.0)
+    return mk(v_r, env), mk(v_t, env), mk(dv_r, env - 1.0), mk(dv_t, env - 1.0)
 
 
 def _abs_moment(grid, a, profile):
@@ -224,40 +221,14 @@ def solve_mode(n: int, params: HamelParameters, grid: RadialGrid, *,
             _, f_rt, f_tr, _ = divergence
             v, dv, env = dirichlet_solve(grid, la, -1.0, 0, f_rt.scaled(la) + f_tr,
                                          f_tr + f_rt.scaled(-1.0))
-        sol = HorizontalSolutionMode(
-            mode=0,
+        return HorizontalSolutionMode(
             v_r=ModeProfile.zeros(grid),
             v_t=ModeProfile(v, grid, envelope_tail(grid, env, v)),
             dv_r=ModeProfile.zeros(grid),
             dv_t=ModeProfile(dv, grid, envelope_tail(grid, env - 1.0, dv)),
         )
-        sol.checks = structural_checks(sol)
-        return sol
 
     omega, c_n, omega_env = compute_vorticity_mode(
         n, params, grid, pointwise=pointwise, divergence=divergence)
-    v_r, v_t, dv_r, dv_t, moment_rel = biot_savart(n, omega, envelope_hint=omega_env)
-    sol = HorizontalSolutionMode(n, v_r, v_t, dv_r, dv_t, omega, c_n)
-    sol.checks = structural_checks(sol)
-    sol.checks["moment_rel"] = moment_rel
-    return sol
-
-
-def structural_checks(sol: HorizontalSolutionMode) -> dict:
-    """Boundary and per-mode divergence identities, relative to solution scale."""
-    grid = sol.v_r.grid
-    n = sol.mode
-    scale = max(sol.v_r.max_abs(), sol.v_t.max_abs())
-    out = {"scale": scale}
-    if scale == 0.0:
-        out["boundary_rel"] = 0.0
-        out["divergence_rel"] = 0.0
-        return out
-    out["boundary_rel"] = (abs(sol.v_r.values[0]) + abs(sol.v_t.values[0])) / scale
-    div = sol.v_r.values + grid.r_nodes * sol.dv_r.values + 1j * n * sol.v_t.values
-    div_scale = np.max(np.abs(sol.v_r.values)
-                       + np.abs(grid.r_nodes * sol.dv_r.values)
-                       + abs(n) * np.abs(sol.v_t.values))
-    out["divergence_rel"] = float(np.max(np.abs(div)) / div_scale) if div_scale > 0 else 0.0
-    return out
-
+    v_r, v_t, dv_r, dv_t = biot_savart(n, omega, envelope_hint=omega_env)
+    return HorizontalSolutionMode(v_r, v_t, dv_r, dv_t, omega, c_n)

@@ -248,39 +248,20 @@ def weighted_sup_norm(p: ModeProfile, s: float) -> WeightedNormReport:
     return WeightedNormReport(float(weighted[j]), float(p.grid.r_nodes[j]))
 
 
-def integrate_weighted(p, exponent: float, r_lo: float = 1.0, r_hi: float = np.inf,
-                       grid: RadialGrid | None = None, envelope: float | None = None) -> complex:
-    """int_{r_lo}^{r_hi} s^exponent p(s) ds with an analytic power-law tail.
-
-    `p` is a ModeProfile or a callable; callables integrating to infinity
-    must declare an `envelope` exponent valid beyond r_max.
-    """
-    if isinstance(p, ModeProfile):
-        grid = p.grid
-        fn = lambda s: p.grid.interpolate(p.values, s)
-        tail = p.tail
-    else:
-        if grid is None:
-            raise ValueError("callable integrand needs a grid")
-        fn = p
-        if np.isinf(r_hi):
-            if envelope is None:
-                raise ValueError("callable integrand needs an envelope for an infinite tail")
-            tail = envelope_tail(grid, envelope, np.asarray(fn(np.array([grid.r_max]))))
-        else:
-            tail = ZERO_TAIL
-
+def integrate_weighted(p: ModeProfile, exponent: float, r_lo: float = 1.0,
+                       r_hi: float = np.inf) -> complex:
+    """int_{r_lo}^{r_hi} s^exponent p(s) ds with an analytic power-law tail."""
+    grid = p.grid
+    fn = lambda s: grid.interpolate(p.values, s) * s ** exponent
     if np.isinf(r_hi):
-        env = tail.slowest_exponent()
+        env = p.tail.slowest_exponent()
         if exponent + env >= -1.0:
             raise TailError(
                 f"non-integrable tail: exponent {exponent} + envelope {env} >= -1"
             )
-        finite = grid.integrate_clipped(lambda s: np.asarray(fn(s)) * s ** exponent,
-                                        r_lo, grid.r_max)
-        return complex(finite + tail.moment(exponent, grid.r_max))
-
-    return grid.integrate_clipped(lambda s: np.asarray(fn(s)) * s ** exponent, r_lo, r_hi)
+        return complex(grid.integrate_clipped(fn, r_lo, grid.r_max)
+                       + p.tail.moment(exponent, grid.r_max))
+    return grid.integrate_clipped(fn, r_lo, r_hi)
 
 
 # -- tail-aware kernel wrappers used by the per-mode solvers ---------------

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the Green's-function solve paths:
 manufactured forcings come from symbolic application of the mode ODEs to
 power-law targets, decay rates from a log-log fit, equation residuals
-from per-panel spectral differentiation, and the weak-form residual from
-direct quadrature against compactly supported test functions.
+from per-panel spectral differentiation, the no-slip and divergence
+identities from a field's value and derivative arrays, and the weak-form
+residual from direct quadrature against compactly supported test
+functions.
 """
 
 from __future__ import annotations
@@ -27,22 +29,16 @@ _BC_TOL = 1e-10
 # manufactured solutions
 
 
-def vertical_operator(v: PowerSum, n: int, params: HamelParameters) -> PowerSum:
-    """Symbolic -v'' - (1+gamma) v'/r + (n^2 + i alpha n) v / r^2."""
-    mu = n * n + 1j * params.alpha * n
-    terms = []
-    for c, e in v.terms:
-        terms.append((c * (-e * (e - 1.0) - (1.0 + params.gamma) * e + mu), e - 2.0))
-    return PowerSum(terms)
+def euler_operator(v: PowerSum, mu, gamma: float) -> PowerSum:
+    """Symbolic -v'' - (1+gamma) v'/r + mu v / r^2, the radial operator of every
+    Euler-type mode equation: mu = n^2 + i alpha n for the vertical and
+    vorticity modes, mu = 1 - gamma for the axisymmetric angular profile."""
+    return PowerSum([(c * (-e * (e - 1.0) - (1.0 + gamma) * e + mu), e - 2.0)
+                     for c, e in v.terms])
 
 
-def horizontal_axisymmetric_operator(v: PowerSum, params: HamelParameters) -> PowerSum:
-    """Symbolic -v'' - (1+gamma) v'/r + (1-gamma) v / r^2 for the angular profile."""
-    terms = []
-    for c, e in v.terms:
-        terms.append((c * (-e * (e - 1.0) - (1.0 + params.gamma) * e + 1.0 - params.gamma),
-                      e - 2.0))
-    return PowerSum(terms)
+def _mode_mu(n: int, params: HamelParameters):
+    return n * n + 1j * params.alpha * n
 
 
 def stream_velocity(mu: PowerSum, n: int):
@@ -52,18 +48,12 @@ def stream_velocity(mu: PowerSum, n: int):
     return v_r, v_t
 
 
-def manufacture_vertical(v_target: PowerSum, n: int, params: HamelParameters):
-    """Pointwise forcing whose mode-n vertical solve must return v_target."""
-    if abs(v_target(1.0)) > _BC_TOL:
-        raise ValueError(f"target violates v(1) = 0: got {v_target(1.0)}")
-    return vertical_operator(v_target, n, params)
-
-
-def manufacture_horizontal_axisymmetric(v_theta: PowerSum, params: HamelParameters):
-    """Pointwise angular forcing whose mode-0 horizontal solve returns v_theta."""
-    if abs(v_theta(1.0)) > _BC_TOL:
-        raise ValueError(f"target violates v(1) = 0: got {v_theta(1.0)}")
-    return horizontal_axisymmetric_operator(v_theta, params)
+def manufacture_euler(target: PowerSum, mu, params: HamelParameters) -> PowerSum:
+    """Pointwise forcing whose Euler-type Dirichlet solve with coefficient mu
+    must return `target`."""
+    if abs(target(1.0)) > _BC_TOL:
+        raise ValueError(f"target violates v(1) = 0: got {target(1.0)}")
+    return euler_operator(target, mu, params.gamma)
 
 
 def manufacture_horizontal_stream(mu: PowerSum, n: int, params: HamelParameters):
@@ -81,7 +71,7 @@ def manufacture_horizontal_stream(mu: PowerSum, n: int, params: HamelParameters)
     v_r, v_t = stream_velocity(mu, n)
     # omega = mu'' + mu'/r - n^2 mu / r^2
     omega = PowerSum([(c * (e * (e - 1.0) + e - n * n), e - 2.0) for c, e in mu.terms])
-    rot_f = vertical_operator(omega, n, params)  # same radial operator as the vertical mode
+    rot_f = euler_operator(omega, _mode_mu(n, params), params.gamma)
     # f_t with (1/r)(r f_t)' = rot_f and no r^{-1} homogeneous admixture
     f_t_terms = []
     for c, e in rot_f.terms:
@@ -106,11 +96,11 @@ def manufacture_forcing(targets: dict, params: HamelParameters, grid: RadialGrid
     expected = {}
     for (kind, n), target in targets.items():
         if kind == "vertical":
-            f = manufacture_vertical(target, n, params)
+            f = manufacture_euler(target, _mode_mu(n, params), params)
             forcing_modes[(kind, n)] = ModeProfile.from_powersum(f, grid)
             expected[(kind, n)] = (target,)
         elif kind == "horizontal" and n == 0:
-            f = manufacture_horizontal_axisymmetric(target, params)
+            f = manufacture_euler(target, 1.0 - params.gamma, params)
             forcing_modes[(kind, n)] = (ModeProfile.zeros(grid),
                                         ModeProfile.from_powersum(f, grid))
             expected[(kind, n)] = (PowerSum.zero(), target)
@@ -183,47 +173,49 @@ def fit_decay(target, fit_window, grid: RadialGrid | None = None) -> DecayFit:
 # equation residuals by spectral differentiation
 
 
-def vorticity_residual(omega: ModeProfile, rot_f_values, n: int,
-                       params: HamelParameters) -> float:
-    """Relative residual of the transported vorticity ODE for mode n.
+def euler_residual(grid: RadialGrid, v, f, mu, gamma: float, dv=None) -> float:
+    """Relative residual of -v'' - (1+gamma) v'/r + mu v / r^2 = f at the nodes.
 
-    Both derivatives are spectral-per-panel, so the result is
+    `v`, `f` and `dv` are node values.  With `dv` (the solver's analytic
+    first derivative) only one numeric differentiation enters; without it
+    both derivatives are spectral-per-panel, so the result is
     differentiation-limited (around 1e-5 at the default grid) rather
     than solver-limited.
     """
-    grid = omega.grid
     r = grid.r_nodes
-    d1 = grid.derivative(omega.values)
+    d1 = grid.derivative(v) if dv is None else dv
     d2 = grid.derivative(d1)
-    mu = n * n + 1j * params.alpha * n
-    res = -d2 - (1.0 + params.gamma) * d1 / r + mu * omega.values / r ** 2 - rot_f_values
-    scale = np.max(np.abs(rot_f_values))
+    res = -d2 - (1.0 + gamma) * d1 / r + mu * v / r ** 2 - f
+    scale = np.max(np.abs(f))
     return float(np.max(np.abs(res)) / scale) if scale > 0 else float(np.max(np.abs(res)))
 
 
-def vertical_residual(sol, f_values, n: int, params: HamelParameters) -> float:
-    """Relative residual of the vertical mode ODE, using the analytic
-    first derivative so only one numeric differentiation enters."""
-    grid = sol.v_3.grid
-    r = grid.r_nodes
-    d1 = sol.dv_3.values
-    d2 = grid.derivative(d1)
-    mu = n * n + 1j * params.alpha * n
-    res = -d2 - (1.0 + params.gamma) * d1 / r + mu * sol.v_3.values / r ** 2 - f_values
-    scale = np.max(np.abs(f_values))
-    return float(np.max(np.abs(res)) / scale) if scale > 0 else float(np.max(np.abs(res)))
+# ---------------------------------------------------------------------------
+# structural identities
 
 
-def angular_residual(sol, f_values, params: HamelParameters) -> float:
-    """Relative residual of the axisymmetric angular ODE."""
-    grid = sol.v_t.grid
-    r = grid.r_nodes
-    d1 = sol.dv_t.values
-    d2 = grid.derivative(d1)
-    res = (-d2 - (1.0 + params.gamma) * d1 / r
-           + (1.0 - params.gamma) * sol.v_t.values / r ** 2 - f_values)
-    scale = np.max(np.abs(f_values))
-    return float(np.max(np.abs(res)) / scale) if scale > 0 else float(np.max(np.abs(res)))
+def structural_residuals(fieldv: VelocityField) -> dict:
+    """Per-mode no-slip and divergence identities of a field.
+
+    Returns {"boundary_rel", "divergence_rel"}, (2N+1,) arrays indexed
+    n + N: the boundary residual sum_a |v_a(1)| over the mode's largest
+    |v_a|, and the divergence residual max |v_r + r v_r' + i n v_t| over
+    max(|v_r| + |r v_r'| + |n| |v_t|).  A zero mode reads 0.  For n != 0
+    the no-slip condition of (v_r, v_t) is the moment identity
+    int_1^inf s^{1-|n|} omega_n ds = 0.  A standalone mode solve is checked
+    in its row of `VelocityField.zero(grid, |n|)`.
+    """
+    n = np.arange(-fieldv.cutoff, fieldv.cutoff + 1)[:, None]
+    mags = np.abs(fieldv.values)
+    r_dv_r = fieldv.grid.r_nodes * fieldv.dvalues[:, 0]
+    div = np.abs(fieldv.values[:, 0] + r_dv_r + 1j * n * fieldv.values[:, 1])
+    div_scale = mags[:, 0] + np.abs(r_dv_r) + np.abs(n) * mags[:, 1]
+    return {"boundary_rel": _relative(np.sum(mags[:, :, 0], axis=1), np.max(mags, axis=(1, 2))),
+            "divergence_rel": _relative(np.max(div, axis=1), np.max(div_scale, axis=1))}
+
+
+def _relative(x, scale):
+    return np.divide(x, scale, out=np.zeros_like(x), where=scale > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ construction and never relaxed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .background import HamelParameters
 from .grid import RadialGrid
@@ -28,10 +28,8 @@ from .spectral import compute_coefficients
 
 @dataclass
 class VerticalSolutionMode:
-    mode: int
     v_3: ModeProfile
     dv_3: ModeProfile
-    checks: dict = field(default_factory=dict)
 
 
 def solve_vertical_mode(n: int, params: HamelParameters, grid: RadialGrid, *,
@@ -55,18 +53,7 @@ def solve_vertical_mode(n: int, params: HamelParameters, grid: RadialGrid, *,
             h_left, h_right = h_left + angular, h_right + angular
         v, dv, env = dirichlet_solve(grid, -beta, delta, 0, h_left, h_right)
 
-    sol = VerticalSolutionMode(
-        mode=n,
+    return VerticalSolutionMode(
         v_3=ModeProfile(v, grid, envelope_tail(grid, env, v)),
         dv_3=ModeProfile(dv, grid, envelope_tail(grid, env - 1.0, dv)),
     )
-    sol.checks = structural_checks(sol)
-    return sol
-
-
-def structural_checks(sol: VerticalSolutionMode) -> dict:
-    scale = sol.v_3.max_abs()
-    if scale == 0.0:
-        return {"scale": 0.0, "boundary_rel": 0.0}
-    return {"scale": scale, "boundary_rel": abs(sol.v_3.values[0]) / scale}
-

@@ -46,7 +46,6 @@ def test_irrotational(grid):
     _, v_t, _ = bg.velocity(p, grid.r_nodes)
     curl = grid.derivative(grid.r_nodes * v_t) / grid.r_nodes
     assert np.max(np.abs(curl)) < 1e-12
-    assert np.all(bg.rotation_2d(p, grid.r_nodes) == 0.0)
 
 
 def test_flux_radius_independent():

@@ -64,16 +64,28 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
      "mode cutoff 2 drops every nonzero forcing coefficient"),
     ({"mode_cutoff": 0, "forcing": {"family": "random", "n_modes": -1}},
      "n_modes=-1 must be >= 0"),
+    ({"forcing": {"coefficients": [1, 2]}}, "coefficients=[1, 2] must map modes to numbers"),
+    ({"coefficients": {"1": [1]}}, "coefficients={'1': [1]} must map modes to numbers"),
 ], ids=["bump-n_modes", "power-foo", "mode_cutoff-str", "power-truncated",
-        "random-n_modes-negative"])
+        "random-n_modes-negative", "coefficients-list", "coefficient-list"])
 def test_bad_config_file_exits_2(tmp_path, capsys, config, fragment):
     # a family option the family does not take, a value of the wrong type,
-    # and a forcing that the mode cutoff would truncate to nothing
+    # a malformed coefficient map, and a forcing that the mode cutoff would
+    # truncate to nothing
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps(config))
     out = tmp_path / "out"
     assert cli.main(["--config", str(cfg_file), "--output-dir", str(out)]) == cli.EXIT_CONFIG
     assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ['[1, 2]', '{"1": [1]}'])
+def test_malformed_coefficients_flag_exits_2(tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    argv = ["--coefficients", flag, "--output-dir", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "must map modes to numbers" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -5,12 +5,13 @@ from hamelflow import horizontal as hz
 from hamelflow.background import HamelParameters
 from hamelflow.errors import BoundaryError
 from hamelflow.grid import RadialGrid
+from hamelflow.nonlinear import VelocityField
 from hamelflow.profiles import ModeProfile, PowerSum, full_moment
 from hamelflow.verification import (
-    angular_residual,
+    euler_residual,
     fit_decay,
     manufacture_horizontal_stream,
-    vorticity_residual,
+    structural_residuals,
 )
 
 PARAMS = HamelParameters(alpha=0.0, gamma=4.0, rho=2.5)
@@ -69,7 +70,9 @@ def test_axisymmetric_manufactured_roundtrip(grid):
 def test_axisymmetric_ode_residual(grid):
     f_t = power_profile(grid, 1.0, -4.0)
     sol = hz.solve_mode(0, PARAMS, grid, pointwise=(zeros(grid), f_t))
-    assert angular_residual(sol, f_t.values, PARAMS) < 1e-6
+    la = 1.0 - PARAMS.gamma
+    assert euler_residual(grid, sol.v_t.values, f_t.values, la, PARAMS.gamma,
+                          dv=sol.dv_t.values) < 1e-6
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -133,7 +136,8 @@ def test_vorticity_ode_residual(grid):
     # rot f = (1/r)(r f_t)' - (in/r) f_r
     rot_f = (PowerSum([(c * (e + 1.0), e - 1.0) for c, e in f_t.terms])
              + PowerSum([(-1j * n * c, e - 1.0) for c, e in f_r.terms]))
-    res = vorticity_residual(omega, rot_f(grid.r_nodes), n, params)
+    res = euler_residual(grid, omega.values, rot_f(grid.r_nodes),
+                         n * n + 1j * params.alpha * n, params.gamma)
     assert res < 1e-4
 
 
@@ -144,17 +148,18 @@ def test_biot_savart_closed_form(grid):
     a = s5 + 2.0
     kappa = 3.0 / (a - 1.0)
     omega = ModeProfile.from_powersum(PowerSum.of((1.0, -a), (-kappa, -4.0)), grid)
-    v_r, v_t, dv_r, dv_t, mrel = hz.biot_savart(1, omega)
+    v_r, v_t, dv_r, dv_t = hz.biot_savart(1, omega)
     r = grid.r_nodes
     acc = (1.0 - r ** (3.0 - a)) / (a - 3.0) - kappa * (1.0 - 1.0 / r)
     out = r ** (1.0 - a) / (a - 1.0) - kappa * r ** -3.0 / 3.0
     assert np.max(np.abs(v_r.values - 0.5j * (r ** -2.0 * acc + out))) < 1e-12
     assert np.max(np.abs(v_t.values - 0.5 * (r ** -2.0 * acc - out))) < 1e-12
-    assert mrel < 1e-12
+    moment = full_moment(grid, 0.0, omega.values, omega.tail)
+    assert abs(moment) < 1e-12 * hz._abs_moment(grid, 0.0, omega)
 
 
 def test_biot_savart_zero(grid):
-    v_r, v_t, _, _, _ = hz.biot_savart(2, ModeProfile.zeros(grid))
+    v_r, v_t, _, _ = hz.biot_savart(2, ModeProfile.zeros(grid))
     assert v_r.max_abs() == 0.0 and v_t.max_abs() == 0.0
 
 
@@ -172,9 +177,14 @@ def test_reconstruction_satisfies_curl_and_divergence(grid):
     r = grid.r_nodes
     curl = (sol.v_t.values + r * sol.dv_t.values - 1j * n * sol.v_r.values) / r
     assert np.max(np.abs(curl - sol.omega.values)) < 1e-9 * sol.omega.max_abs()
-    assert sol.checks["divergence_rel"] < 1e-10
-    assert sol.checks["boundary_rel"] < 1e-10
-    assert sol.checks["moment_rel"] < 1e-10
+    fieldv = VelocityField.zero(grid, n)
+    fieldv.values[2 * n, :2] = sol.v_r.values, sol.v_t.values
+    fieldv.dvalues[2 * n, :2] = sol.dv_r.values, sol.dv_t.values
+    res = structural_residuals(fieldv)
+    assert res["divergence_rel"][2 * n] < 1e-10
+    assert res["boundary_rel"][2 * n] < 1e-10
+    moment = full_moment(grid, 1.0 - n, sol.omega.values, sol.omega.tail)
+    assert abs(moment) < 1e-10 * hz._abs_moment(grid, 1.0 - n, sol.omega)
 
 
 # -- full-mode round trips -----------------------------------------------------

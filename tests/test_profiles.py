@@ -119,13 +119,8 @@ def test_integrate_weighted_divergent_tail(grid):
         integrate_weighted(p, 1.0)
 
 
-def test_integrate_weighted_callable_with_envelope(grid):
-    val = integrate_weighted(lambda s: s ** -4.0, 2.0, grid=grid, envelope=-4.0)
-    assert abs(val - 1.0) < 1e-11
-
-
 def test_integrate_weighted_finite_interval(grid):
-    val = integrate_weighted(lambda s: s ** -3.0, 1.0, r_lo=2.0, r_hi=8.0, grid=grid)
+    val = integrate_weighted(profile_from_power(grid, -3.0), 1.0, r_lo=2.0, r_hi=8.0)
     assert abs(val - (1.0 / 2.0 - 1.0 / 8.0)) < 1e-12
 
 

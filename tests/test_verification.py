@@ -6,7 +6,7 @@ import pytest
 from hamelflow import nonlinear as nl
 from hamelflow import verification as vf
 from hamelflow.background import HamelParameters
-from hamelflow.forcing import bump_forcing, power_envelope_forcing
+from hamelflow.forcing import build_family, bump_forcing, power_envelope_forcing
 from hamelflow.grid import RadialGrid
 from hamelflow.profiles import PowerSum
 
@@ -53,7 +53,7 @@ def test_fit_zero_magnitude_rejected(grid):
 # -- manufactured forcing ---------------------------------------------------------
 
 def test_manufacture_zero_target():
-    f = vf.manufacture_vertical(PowerSum.zero(), 1, PARAMS)
+    f = vf.manufacture_euler(PowerSum.zero(), 1.0 + 1.0j, PARAMS)
     assert f.terms == ()
 
 
@@ -61,7 +61,7 @@ def test_manufacture_symbolic_value():
     # v = r^{1-rho} - r^{-gamma}: the operator leaves (rho-1)(gamma+1-rho) r^{-1-rho}
     rho, gamma = PARAMS.rho, PARAMS.gamma
     target = PowerSum.of((1.0, 1.0 - rho), (-1.0, -gamma))
-    f = vf.manufacture_vertical(target, 0, PARAMS)
+    f = vf.manufacture_euler(target, 0.0, PARAMS)
     assert len(f.terms) == 1
     coef, expo = f.terms[0]
     assert abs(expo - (-1.0 - rho)) < 1e-14
@@ -70,7 +70,7 @@ def test_manufacture_symbolic_value():
 
 def test_manufacture_rejects_boundary_violation():
     with pytest.raises(ValueError, match="v\\(1\\) = 0"):
-        vf.manufacture_vertical(PowerSum.of((1.0, -2.0)), 0, PARAMS)
+        vf.manufacture_euler(PowerSum.of((1.0, -2.0)), 0.0, PARAMS)
     with pytest.raises(ValueError, match="v\\(1\\) = 0"):
         vf.manufacture_horizontal_stream(PowerSum.of((1.0, -2.0)), 1, PARAMS)
 
@@ -83,6 +83,55 @@ def test_manufacture_forcing_dispatch(grid):
     }
     modes, expected = vf.manufacture_forcing(targets, PARAMS, grid)
     assert set(modes) == set(expected) == set(targets)
+
+
+# -- structural identities ----------------------------------------------------------
+
+def _first_iterate(grid, family, cutoff=2):
+    """T applied to zero: the sum of every mode's linear solves."""
+    forcing = build_family(family, grid, PARAMS, 1e-3, cutoff=cutoff)
+    return nl.apply_T(nl.VelocityField.zero(grid, cutoff), forcing, PARAMS, grid)
+
+
+@pytest.mark.parametrize("family", ["power", "bump", "random"])
+def test_structural_residuals_of_first_iterate(grid, family):
+    res = vf.structural_residuals(_first_iterate(grid, family))
+    assert set(res) == {"boundary_rel", "divergence_rel"}
+    for rel in res.values():
+        assert rel.shape == (5,)
+        assert np.all(rel <= 1e-8)
+
+
+def test_boundary_residual_sees_a_boundary_defect(grid):
+    fieldv = _first_iterate(grid, "power")
+    N = fieldv.cutoff
+    before = vf.structural_residuals(fieldv)["boundary_rel"]
+    fieldv.values[N + 1, 0, 0] += 1e-6 * np.max(np.abs(fieldv.values[N + 1]))
+    after = vf.structural_residuals(fieldv)["boundary_rel"]
+    assert abs(after[N + 1] - 1e-6) < 1e-12
+    others = np.arange(2 * N + 1) != N + 1
+    assert np.array_equal(after[others], before[others])
+
+
+def test_divergence_residual_sees_a_derivative_defect(grid):
+    fieldv = _first_iterate(grid, "power")
+    N = fieldv.cutoff
+    before = vf.structural_residuals(fieldv)["divergence_rel"]
+    fieldv.dvalues[N + 1, 0] *= 1.0 + 1e-6
+    after = vf.structural_residuals(fieldv)["divergence_rel"]
+    assert before[N + 1] < 1e-12
+    assert after[N + 1] > 1e-8
+    others = np.arange(2 * N + 1) != N + 1
+    assert np.array_equal(after[others], before[others])
+
+
+def test_structural_residuals_of_zero_modes_read_zero(grid):
+    for rel in vf.structural_residuals(nl.VelocityField.zero(grid, 2)).values():
+        assert np.all(rel == 0.0)
+    fieldv = _first_iterate(grid, "power")  # the forcing reaches modes -1..1 only
+    assert not fieldv.values[[0, 4]].any()
+    for rel in vf.structural_residuals(fieldv).values():
+        assert rel[0] == rel[4] == 0.0
 
 
 # -- weak residual -----------------------------------------------------------------

@@ -5,12 +5,14 @@ from hamelflow import vertical as vt
 from hamelflow.background import HamelParameters
 from hamelflow.errors import AdmissibilityError
 from hamelflow.forcing import bump_profile
+from hamelflow.nonlinear import VelocityField
 from hamelflow.profiles import ModeProfile, PowerSum, envelope_tail
 from hamelflow.spectral import compute_coefficients
 from hamelflow.verification import (
+    euler_residual,
     fit_decay,
-    manufacture_vertical,
-    vertical_residual,
+    manufacture_euler,
+    structural_residuals,
 )
 
 PARAMS = HamelParameters(alpha=0.0, gamma=4.0, rho=2.5)
@@ -84,12 +86,15 @@ def test_manufactured_roundtrip(grid, n, alpha):
         zeta = compute_coefficients(n, alpha, params.gamma).zeta
         target = PowerSum.of((1.0, 1.0 - params.rho),
                              (-1.0, -(zeta + params.gamma / 2.0)))
-    f = manufacture_vertical(target, n, params)
+    f = manufacture_euler(target, n * n + 1j * alpha * n, params)
     sol = vt.solve_vertical_mode(n, params, grid, pointwise=ModeProfile.from_powersum(f, grid))
     exact = target(grid.r_nodes)
     rel = np.max(np.abs(sol.v_3.values - exact)) / np.max(np.abs(exact))
     assert rel < 1e-10
-    assert sol.checks["boundary_rel"] < 1e-12
+    fieldv = VelocityField.zero(grid, n)
+    fieldv.values[2 * n, 2] = sol.v_3.values
+    fieldv.dvalues[2 * n, 2] = sol.dv_3.values
+    assert structural_residuals(fieldv)["boundary_rel"][2 * n] < 1e-12
 
 
 def test_divergence_vs_pointwise_consistency(grid):
@@ -125,7 +130,8 @@ def test_ode_residual(grid):
     f = power_profile(grid, 1.0, -4.2)
     params = HamelParameters(2.0, 4.0, 2.5)
     sol = vt.solve_vertical_mode(1, params, grid, pointwise=f)
-    assert vertical_residual(sol, f.values, 1, params) < 1e-6
+    assert euler_residual(grid, sol.v_3.values, f.values, 1.0 + 2.0j, params.gamma,
+                          dv=sol.dv_3.values) < 1e-6
 
 
 def test_conjugation_symmetry(grid):

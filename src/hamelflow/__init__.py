@@ -15,12 +15,7 @@ from .errors import (
     TailError,
 )
 from .grid import RadialGrid
-from .horizontal import (
-    HorizontalSolutionMode,
-    biot_savart,
-    compute_vorticity_mode,
-    solve_mode,
-)
+from .horizontal import biot_savart, compute_vorticity_mode, solve_mode
 from .nonlinear import (
     FlowAccessor,
     ForcingSpec,
@@ -44,7 +39,7 @@ from .profiles import (
     weighted_sup_norm,
 )
 from .spectral import SpectralCoefficients, compute_coefficients
-from .vertical import VerticalSolutionMode, solve_vertical_mode
+from .vertical import solve_vertical_mode
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

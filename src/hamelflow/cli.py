@@ -8,7 +8,8 @@ Exit codes: 0 success, 2 invalid configuration, 3 the fixed-point
 iteration left the contraction regime or hit its step limit (diagnostics
 are still written), 4 a mode solve failed its boundary or moment identity
 (`BoundaryError`; the summary records the error), 1 unexpected I/O
-failure.
+failure (a config file that cannot be read exits 1 with a one-line
+message).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .nonlinear import compute_lambda, picard_iterate, value_norm, x_norm
 from .verification import fit_decay, make_test_suite, weak_ns_residual
 
 EXIT_OK = 0
+EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_NO_CONTRACTION = 3
 EXIT_BOUNDARY = 4
@@ -121,7 +123,11 @@ def parse_config(argv=None) -> RunConfig:
     if ns.config:
         with open(ns.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise AdmissibilityError(f"config file {ns.config} must hold a JSON object")
         forcing = data.pop("forcing", {})
+        if not isinstance(forcing, dict):
+            raise AdmissibilityError(f"forcing={forcing!r} must be a JSON object")
         for key, value in data.items():
             if not hasattr(cfg, key):
                 raise AdmissibilityError(f"unknown config key {key!r}")
@@ -255,6 +261,9 @@ def main(argv=None) -> int:
     except (AdmissibilityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     return run(config)
 
 

@@ -26,8 +26,6 @@ formulas (power prefactor times integral), never finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .background import HamelParameters
@@ -46,16 +44,6 @@ from .spectral import compute_coefficients
 
 MOMENT_TOL = 1e-8
 _DEGENERATE = 1e-10
-
-
-@dataclass
-class HorizontalSolutionMode:
-    v_r: ModeProfile
-    v_t: ModeProfile
-    dv_r: ModeProfile
-    dv_t: ModeProfile
-    omega: ModeProfile | None = None
-    c_n: complex | None = None
 
 
 # -- exact tails of the kernel integrals for power-law data ----------------
@@ -147,7 +135,9 @@ def compute_vorticity_mode(n: int, params: HamelParameters, grid: RadialGrid, *,
 
 
 def biot_savart(n: int, omega: ModeProfile, envelope_hint: float | None = None):
-    """Velocity mode recovered from its vorticity profile.
+    """Velocity mode recovered from its vorticity profile: (v, dv, env) with
+    v and dv the (2, M) arrays of (v_r, v_t) and their radial derivatives,
+    env the (2,) tail exponents of v.
 
     Requires the |n|-th inverse moment of omega to cancel; otherwise the
     reconstructed field cannot satisfy the no-slip condition and the
@@ -169,17 +159,14 @@ def biot_savart(n: int, omega: ModeProfile, envelope_hint: float | None = None):
     cr = cum_right_full(grid, a_n - 1.0, omega.values, omega.tail)
     r = grid.r_nodes
     pref = 1j * n / (2.0 * a_n)
-    v_r = pref * (cl + cr)
-    v_t = 0.5 * (cl - cr)
-    dv_r = pref * (-(a_n + 1.0) * cl + (a_n - 1.0) * cr) / r
-    dv_t = omega.values - 0.5 * ((a_n + 1.0) * cl + (a_n - 1.0) * cr) / r
+    v = np.stack((pref * (cl + cr), 0.5 * (cl - cr)))
+    dv = np.stack((pref * (-(a_n + 1.0) * cl + (a_n - 1.0) * cr) / r,
+                   omega.values - 0.5 * ((a_n + 1.0) * cl + (a_n - 1.0) * cr) / r))
 
     env_omega = omega.tail.slowest_exponent()
     if envelope_hint is not None:
         env_omega = max(env_omega, envelope_hint)
-    env = max(env_omega + 1.0, -(a_n + 1.0))
-    mk = lambda vals, e: ModeProfile(vals, grid, envelope_tail(grid, e, vals))
-    return mk(v_r, env), mk(v_t, env), mk(dv_r, env - 1.0), mk(dv_t, env - 1.0)
+    return v, dv, np.full(2, max(env_omega + 1.0, -(a_n + 1.0)))
 
 
 def _abs_moment(grid, a, profile):
@@ -201,34 +188,30 @@ def _abs_moment(grid, a, profile):
 # -- the mode solve -----------------------------------------------------------
 
 def solve_mode(n: int, params: HamelParameters, grid: RadialGrid, *,
-               pointwise=None, divergence=None) -> HorizontalSolutionMode:
+               pointwise=None, divergence=None):
     """Horizontal solve of mode n, forced by exactly one block: `pointwise`
     (f_r, f_t) or `divergence` (f_rr, f_rt, f_tr, f_tt), where `rt` is the
     (e_r, e_theta) tensor slot.  A call with neither or both raises
     ValueError.
 
-    Mode 0 is the Dirichlet solve of the angular profile (the radial
-    profile is identically zero); any other mode is vorticity plus
-    Biot-Savart.
+    Returns (v, dv, env): the (2, M) arrays of (v_r, v_t) and their radial
+    derivatives, and the (2,) tail exponents of v.  Mode 0 is the Dirichlet
+    solve of the angular profile (the radial profile is identically zero,
+    exponent -inf); any other mode is vorticity plus Biot-Savart.
     """
     one_block(pointwise, divergence)
     if n == 0:
         la = 1.0 - params.gamma
         if pointwise is not None:
             _, f_t = pointwise
-            v, dv, env = dirichlet_solve(grid, la, -1.0, 1, f_t, f_t)
+            v_t, dv_t, env = dirichlet_solve(grid, la, -1.0, 1, f_t, f_t)
         else:
             _, f_rt, f_tr, _ = divergence
-            v, dv, env = dirichlet_solve(grid, la, -1.0, 0, f_rt.scaled(la) + f_tr,
-                                         f_tr + f_rt.scaled(-1.0))
-        return HorizontalSolutionMode(
-            v_r=ModeProfile.zeros(grid),
-            v_t=ModeProfile(v, grid, envelope_tail(grid, env, v)),
-            dv_r=ModeProfile.zeros(grid),
-            dv_t=ModeProfile(dv, grid, envelope_tail(grid, env - 1.0, dv)),
-        )
+            v_t, dv_t, env = dirichlet_solve(grid, la, -1.0, 0, f_rt.scaled(la) + f_tr,
+                                             f_tr + f_rt.scaled(-1.0))
+        zero = np.zeros_like(v_t)
+        return np.stack((zero, v_t)), np.stack((zero, dv_t)), np.array([-np.inf, env])
 
-    omega, c_n, omega_env = compute_vorticity_mode(
+    omega, _, omega_env = compute_vorticity_mode(
         n, params, grid, pointwise=pointwise, divergence=divergence)
-    v_r, v_t, dv_r, dv_t = biot_savart(n, omega, envelope_hint=omega_env)
-    return HorizontalSolutionMode(v_r, v_t, dv_r, dv_t, omega, c_n)
+    return biot_savart(n, omega, envelope_hint=omega_env)

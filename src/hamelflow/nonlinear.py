@@ -7,9 +7,11 @@ array of tail exponents.  A `ForcingSpec` holds the force in the same
 layout: (2N+1, 3, M) pointwise and (2N+1, 6, M) tensor rows, each slot with
 the exponent of its one-term power tail.  Norms, reality checks, the
 product and the CLI writers work on these arrays; `ModeProfile`s appear
-only at the edges: the per-mode solves, which take a mode number and one
-block of forcing slots that `ForcingSpec.profile` wraps with their exact
-`PowerSum` tails, and point evaluation (`VelocityField.profile`).
+only at the edges: the inputs of the per-mode solves, which take a mode
+number and one block of forcing slots that `ForcingSpec.profile` wraps
+with their exact `PowerSum` tails, and point evaluation
+(`VelocityField.profile`).  A solve returns node arrays of values and
+derivatives and the tail exponent of each component it writes.
 
 One application of the map T solves the linearized system with forcing
 g + div(-w (x) w + F).  Force and iterate are real, v_{-n} = conj(v_n),
@@ -44,6 +46,8 @@ from .profiles import ModeProfile, PowerSum, ZERO_TAIL, envelope_tail
 
 TENSOR_KEYS = ("rr", "rt", "r3", "tr", "tt", "t3")
 _COMP = {"r": 0, "t": 1, "3": 2}
+# the field components a horizontal and a vertical mode solve write
+_HORIZONTAL, _VERTICAL = slice(0, 2), slice(2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +293,9 @@ def convolution_physical_oracle(v: VelocityField, w: VelocityField, n: int, key:
 
 
 def _mode_solves(n, forcing: ForcingSpec, quad, params, grid):
-    """Yield (component, value profile, derivative profile) of every solve of
-    mode n: one per nonzero pointwise or divergence block of its forcing.
+    """Yield (component slice, values, derivatives, tail exponents) of every
+    solve of mode n: one per nonzero pointwise or divergence block of its
+    forcing.
 
     `quad` is None or the `tensor_convolution` (product, exponents) pair
     of the iterate; its mode n row joins the divergence forcing.
@@ -305,20 +310,17 @@ def _mode_solves(n, forcing: ForcingSpec, quad, params, grid):
             F[key] = F[key] + ModeProfile(row, grid, tail).scaled(-1.0)
 
     if np.any(forcing.g[i, :2]):
-        sol = hz.solve_mode(n, params, grid, pointwise=(forcing.profile(n, "r"),
-                                                        forcing.profile(n, "t")))
-        yield from ((0, sol.v_r, sol.dv_r), (1, sol.v_t, sol.dv_t))
+        yield (_HORIZONTAL, *hz.solve_mode(n, params, grid, pointwise=(
+            forcing.profile(n, "r"), forcing.profile(n, "t"))))
     if np.any(forcing.g[i, 2]):
-        sol = vt.solve_vertical_mode(n, params, grid, pointwise=forcing.profile(n, "3"))
-        yield 2, sol.v_3, sol.dv_3
+        yield (_VERTICAL, *vt.solve_vertical_mode(n, params, grid,
+                                                  pointwise=forcing.profile(n, "3")))
     blk = tuple(F[key] for key in ("rr", "rt", "tr", "tt"))
     if any(np.any(p.values) for p in blk):
-        sol = hz.solve_mode(n, params, grid, divergence=blk)
-        yield from ((0, sol.v_r, sol.dv_r), (1, sol.v_t, sol.dv_t))
+        yield (_HORIZONTAL, *hz.solve_mode(n, params, grid, divergence=blk))
     vert = (F["r3"], F["t3"])
     if any(np.any(p.values) for p in vert):
-        sol = vt.solve_vertical_mode(n, params, grid, divergence=vert)
-        yield 2, sol.v_3, sol.dv_3
+        yield (_VERTICAL, *vt.solve_vertical_mode(n, params, grid, divergence=vert))
 
 
 def apply_T(w: VelocityField, forcing: ForcingSpec, params: HamelParameters,
@@ -339,11 +341,10 @@ def apply_T(w: VelocityField, forcing: ForcingSpec, params: HamelParameters,
 
     result = VelocityField.zero(grid, N)
     for n in range(N + 1):
-        for a, p, dp in _mode_solves(n, forcing, quad, params, grid):
-            result.values[N + n, a] += p.values
-            result.dvalues[N + n, a] += dp.values
-            result.exponents[N + n, a] = max(result.exponents[N + n, a],
-                                             p.tail.slowest_exponent())
+        for a, v, dv, env in _mode_solves(n, forcing, quad, params, grid):
+            result.values[N + n, a] += v
+            result.dvalues[N + n, a] += dv
+            np.maximum(result.exponents[N + n, a], env, out=result.exponents[N + n, a])
     result.values[:N] = np.conj(result.values[:N:-1])
     result.dvalues[:N] = np.conj(result.dvalues[:N:-1])
     result.exponents[:N] = result.exponents[:N:-1]

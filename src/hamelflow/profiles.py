@@ -6,15 +6,20 @@ the slot that holds it (a solver argument or a field row).  A tail is
 either exact or an envelope.  Exact tails are `PowerSum`s: the one-term power law of a
 forcing slot (rebuilt from its r_max value and exponent by
 `ForcingSpec.profile`), the kernel tails of such data, and the empty sum
-`ZERO_TAIL` of compactly supported data.  Everything produced by a
-solve or a product of solves carries an `EnvelopeTail` anchored at the
-r_max value (built by `envelope_tail`); adding an exact tail to an
-envelope folds it into the envelope.  Both kinds evaluate by call and
-share `scaled`, `+`, `moment`, `right_integral_scaled` and
-`slowest_exponent`.  Profiles have no conjugate: the mode -n mirror of a
-real solution is formed on the `VelocityField` arrays, where the envelope
-exponent alone carries the tail.  The l1-over-modes norms live on the
-field and forcing arrays (`nonlinear`).
+`ZERO_TAIL` of compactly supported data.  Data known only at the nodes
+carries an `EnvelopeTail` anchored at the r_max value (built by
+`envelope_tail` from a node array and an exponent): a product row that
+joins the divergence forcing, a vorticity particular solution whose kernel
+tails are not exact, and a field component evaluated beyond r_max.
+Adding an exact tail to an envelope folds it into the envelope.  Both
+kinds evaluate by call and share `scaled`, `+`, `moment`,
+`right_integral_scaled` and `slowest_exponent`.
+
+Profiles are solver inputs; the solvers return plain node arrays and a
+tail exponent per component, which `apply_T` adds into the
+`VelocityField` arrays, where the mode -n mirror of a real solution is
+also formed.  The l1-over-modes norms live on the field and forcing
+arrays (`nonlinear`).
 
 The tail-aware kernel wrappers at the end serve the per-mode solvers;
 `one_block` is their check that a solve gets exactly one block of data

@@ -19,7 +19,7 @@ from .background import HamelParameters
 from .forcing import bump_profile
 from .grid import RadialGrid
 from .nonlinear import ForcingSpec, VelocityField, tensor_convolution, with_background
-from .profiles import ModeProfile, PowerSum, weighted_sup_norm
+from .profiles import ModeProfile, PowerSum
 from .spectral import compute_coefficients
 
 _BC_TOL = 1e-10
@@ -129,17 +129,12 @@ class DecayFit:
 def fit_decay(target, fit_window, grid: RadialGrid | None = None) -> DecayFit:
     """Least-squares line through (log r, log |target|) on the window.
 
-    `target` is a ModeProfile, a VelocityField (theta-RMS amplitude), or
-    a pair (radii, magnitudes).  Windows start no earlier than r = 10 and
-    end no later than r_max / 2 to dodge near-field and truncation-tail
-    contamination.
+    `target` is a VelocityField (theta-RMS amplitude) or a pair (radii,
+    magnitudes).  Windows start no earlier than r = 10 and end no later
+    than r_max / 2 to dodge near-field and truncation-tail contamination.
     """
     r_lo, r_hi = fit_window
-    if isinstance(target, ModeProfile):
-        grid = target.grid
-        radii = grid.r_nodes
-        mags = np.abs(target.values)
-    elif isinstance(target, VelocityField):
+    if isinstance(target, VelocityField):
         grid = target.grid
         radii = grid.r_nodes
         mags = target.theta_rms()
@@ -347,22 +342,22 @@ def proposition_shape(branch: str, n: int, params: HamelParameters) -> float:
     raise ValueError(f"unknown branch {branch!r}")
 
 
-def measured_gain(branch: str, sol, n: int, params: HamelParameters) -> float:
-    """Weighted solution norm plus normalized gradient norm, per proposition."""
+def measured_gain(branch: str, sol, n: int, params: HamelParameters,
+                  grid: RadialGrid) -> float:
+    """Weighted solution norm plus normalized gradient norm, per proposition,
+    of a mode solve's (v, dv, env) arrays."""
     rho, g = params.rho, params.gamma
+    v, dv, _ = sol
+    r = grid.r_nodes
+    vals = float(np.max(r ** (rho - 1.0) * np.abs(v)))
+    grads = float(np.max(r ** rho * np.abs(dv)))
     if branch == "horizontal":
-        vals = max(weighted_sup_norm(sol.v_r, rho - 1.0).sup_norm_weighted,
-                   weighted_sup_norm(sol.v_t, rho - 1.0).sup_norm_weighted)
-        grads = max(weighted_sup_norm(sol.dv_r, rho).sup_norm_weighted,
-                    weighted_sup_norm(sol.dv_t, rho).sup_norm_weighted)
         norm_factor = (g - 1.0) if n == 0 else float(abs(n))
-        return vals + grads / norm_factor
-    vals = weighted_sup_norm(sol.v_3, rho - 1.0).sup_norm_weighted
-    grads = weighted_sup_norm(sol.dv_3, rho).sup_norm_weighted
-    if n == 0:
-        return vals + grads / g
-    sc = compute_coefficients(n, params.alpha, params.gamma)
-    return vals + grads / sc.xi
+    elif n == 0:
+        norm_factor = g
+    else:
+        norm_factor = compute_coefficients(n, params.alpha, params.gamma).xi
+    return vals + grads / norm_factor
 
 
 def proposition_sweep(params_list, n_values, grid: RadialGrid, branches=None):
@@ -388,7 +383,7 @@ def proposition_sweep(params_list, n_values, grid: RadialGrid, branches=None):
                     sol = vt.solve_vertical_mode(n, params, grid, pointwise=g_unit)
                 else:
                     sol = vt.solve_vertical_mode(n, params, grid, divergence=(f_unit,) * 2)
-                gain = measured_gain(branch, sol, n, params)
+                gain = measured_gain(branch, sol, n, params, grid)
                 shape = proposition_shape(branch, n, params)
                 rows.append({
                     "alpha": params.alpha, "gamma": params.gamma, "rho": params.rho,

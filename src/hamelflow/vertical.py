@@ -18,42 +18,28 @@ construction and never relaxed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .background import HamelParameters
 from .grid import RadialGrid
-from .profiles import ModeProfile, dirichlet_solve, envelope_tail, one_block
+from .profiles import dirichlet_solve, one_block
 from .spectral import compute_coefficients
 
 
-@dataclass
-class VerticalSolutionMode:
-    v_3: ModeProfile
-    dv_3: ModeProfile
-
-
 def solve_vertical_mode(n: int, params: HamelParameters, grid: RadialGrid, *,
-                        pointwise=None, divergence=None) -> VerticalSolutionMode:
+                        pointwise=None, divergence=None):
     """Dirichlet solve of mode n, forced by exactly one block: the scalar
     profile `pointwise` (f_3) or the pair `divergence` (f_r3, f_t3).  A call
     with neither or both raises ValueError.  n = 0 is the zeta_0 = gamma/2
-    case."""
+    case.  Returns `dirichlet_solve`'s (v_3, dv_3, tail exponent of v_3)."""
     one_block(pointwise, divergence)
     hg = params.half_gamma
     zeta = compute_coefficients(n, params.alpha, params.gamma).zeta if n else hg
     beta, delta = zeta + hg, zeta - hg
 
     if pointwise is not None:
-        v, dv, env = dirichlet_solve(grid, -beta, delta, 1, pointwise, pointwise)
-    else:
-        f_r3, f_t3 = divergence
-        h_left, h_right = f_r3.scaled(-beta), f_r3.scaled(delta)
-        if n:  # the angular slot drops out at mode 0
-            angular = f_t3.scaled(1j * n)
-            h_left, h_right = h_left + angular, h_right + angular
-        v, dv, env = dirichlet_solve(grid, -beta, delta, 0, h_left, h_right)
-
-    return VerticalSolutionMode(
-        v_3=ModeProfile(v, grid, envelope_tail(grid, env, v)),
-        dv_3=ModeProfile(dv, grid, envelope_tail(grid, env - 1.0, dv)),
-    )
+        return dirichlet_solve(grid, -beta, delta, 1, pointwise, pointwise)
+    f_r3, f_t3 = divergence
+    h_left, h_right = f_r3.scaled(-beta), f_r3.scaled(delta)
+    if n:  # the angular slot drops out at mode 0
+        angular = f_t3.scaled(1j * n)
+        h_left, h_right = h_left + angular, h_right + angular
+    return dirichlet_solve(grid, -beta, delta, 0, h_left, h_right)

@@ -84,17 +84,14 @@ def _roundtrip_errors(grid, params, collect=None):
     errors = {}
     for key, forcing in forcing_modes.items():
         kind, n = key
-        if kind == "horizontal":
-            sol = hz.solve_mode(n, params, grid, pointwise=forcing)
-            got = (sol.v_r.values, sol.v_t.values)
-        else:
-            sol = vt.solve_vertical_mode(n, params, grid, pointwise=forcing)
-            got = (sol.v_3.values,)
+        solver = hz.solve_mode if kind == "horizontal" else vt.solve_vertical_mode
+        sol = solver(n, params, grid, pointwise=forcing)
+        got = sol[0] if kind == "horizontal" else sol[:1]  # (v_r, v_t) or (v_3,)
         exact = [ps(grid.r_nodes) for ps in expected[key]]
         scale = max(np.max(np.abs(e)) for e in exact)
         errors[key] = max(np.max(np.abs(g - e)) for g, e in zip(got, exact)) / scale
         if collect is not None:
-            collect.append((key, sol))
+            collect.append((key, {"pointwise": forcing}, sol))
     return errors
 
 
@@ -122,32 +119,30 @@ def criterion_3():
                  random_forcing(GRID64, params, 1e-3, seed=5, n_modes=2)):
         for n in range(-spec.cutoff, spec.cutoff + 1):
             p = {k: spec.profile(n, k) for k in ("r", "t", "3", *nl.TENSOR_KEYS)}
-            solves.append((("horizontal", n), hz.solve_mode(
-                n, params, GRID64, pointwise=(p["r"], p["t"]))))
-            solves.append((("vertical", n), vt.solve_vertical_mode(
-                n, params, GRID64, pointwise=p["3"])))
-            solves.append((("horizontal", n), hz.solve_mode(
-                n, params, GRID64, divergence=(p["rr"], p["rt"], p["tr"], p["tt"]))))
-            solves.append((("vertical", n), vt.solve_vertical_mode(
-                n, params, GRID64, divergence=(p["r3"], p["t3"]))))
+            blocks = ((("horizontal", n), {"pointwise": (p["r"], p["t"])}),
+                      (("vertical", n), {"pointwise": p["3"]}),
+                      (("horizontal", n),
+                       {"divergence": (p["rr"], p["rt"], p["tr"], p["tt"])}),
+                      (("vertical", n), {"divergence": (p["r3"], p["t3"])}))
+            for key, block in blocks:
+                solver = hz.solve_mode if key[0] == "horizontal" else vt.solve_vertical_mode
+                solves.append((key, block, solver(n, params, GRID64, **block)))
 
     worst = {"boundary_rel": 0.0, "divergence_rel": 0.0, "moment": 0.0}
-    for (kind, n), sol in solves:
+    for (kind, n), block, (v, dv, _) in solves:
         # each solve in its row of a zero field; the moment by interpolation
         i = abs(n) + n
         fieldv = nl.VelocityField.zero(GRID64, abs(n))
-        if kind == "horizontal":
-            fieldv.values[i, :2] = sol.v_r.values, sol.v_t.values
-            fieldv.dvalues[i, :2] = sol.dv_r.values, sol.dv_t.values
-        else:
-            fieldv.values[i, 2], fieldv.dvalues[i, 2] = sol.v_3.values, sol.dv_3.values
+        comps = slice(0, 2) if kind == "horizontal" else 2
+        fieldv.values[i, comps], fieldv.dvalues[i, comps] = v, dv
         for key, rel in vf.structural_residuals(fieldv).items():
             worst[key] = max(worst[key], float(rel[i]))
         if kind == "horizontal" and n != 0:
+            omega, _, _ = hz.compute_vorticity_mode(n, params, GRID64, **block)
             a = 1.0 - abs(n)
-            scale = hz._abs_moment(GRID64, a, sol.omega)
+            scale = hz._abs_moment(GRID64, a, omega)
             if scale > 0:
-                moment = abs(integrate_weighted(sol.omega, a)) / scale
+                moment = abs(integrate_weighted(omega, a)) / scale
                 worst["moment"] = max(worst["moment"], moment)
     ok = all(v <= 1e-8 for v in worst.values())
     return ok, (f"structural identities over {len(solves)} solves: "

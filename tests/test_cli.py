@@ -66,17 +66,32 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
      "n_modes=-1 must be >= 0"),
     ({"forcing": {"coefficients": [1, 2]}}, "coefficients=[1, 2] must map modes to numbers"),
     ({"coefficients": {"1": [1]}}, "coefficients={'1': [1]} must map modes to numbers"),
+    ([1], "must hold a JSON object"),
+    ({"forcing": [1]}, "forcing=[1] must be a JSON object"),
 ], ids=["bump-n_modes", "power-foo", "mode_cutoff-str", "power-truncated",
-        "random-n_modes-negative", "coefficients-list", "coefficient-list"])
+        "random-n_modes-negative", "coefficients-list", "coefficient-list",
+        "top-level-list", "forcing-list"])
 def test_bad_config_file_exits_2(tmp_path, capsys, config, fragment):
     # a family option the family does not take, a value of the wrong type,
     # a malformed coefficient map, and a forcing that the mode cutoff would
-    # truncate to nothing
+    # truncate to nothing, and a config or forcing block that is no JSON object
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps(config))
     out = tmp_path / "out"
     assert cli.main(["--config", str(cfg_file), "--output-dir", str(out)]) == cli.EXIT_CONFIG
-    assert fragment in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert fragment in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_missing_config_file_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    missing = tmp_path / "absent.json"
+    assert cli.main(["--config", str(missing), "--output-dir", str(out)]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

@@ -28,21 +28,21 @@ def power_profile(grid, coef, expo):
 # -- axisymmetric part -------------------------------------------------------
 
 def test_zero_forcing_gives_zero(grid):
-    sol = hz.solve_mode(0, PARAMS, grid, pointwise=(zeros(grid), zeros(grid)))
-    assert sol.v_t.max_abs() == 0.0
-    assert sol.v_r.max_abs() == 0.0
+    v, _, _ = hz.solve_mode(0, PARAMS, grid, pointwise=(zeros(grid), zeros(grid)))
+    assert np.max(np.abs(v[1])) == 0.0
+    assert np.max(np.abs(v[0])) == 0.0
 
 
 def test_axisymmetric_divergence_closed_form(grid):
     # F_rt = r^{-3} at gamma 4: angular profile is 2 r^{-3} - 2 r^{-2}
-    sol = hz.solve_mode(0, PARAMS, grid, divergence=(
+    (v_r, v_t), (_, dv_t), _ = hz.solve_mode(0, PARAMS, grid, divergence=(
         zeros(grid), power_profile(grid, 1.0, -3.0), zeros(grid), zeros(grid)))
     exact = 2.0 * grid.r_nodes ** -3.0 - 2.0 * grid.r_nodes ** -2.0
-    assert np.max(np.abs(sol.v_t.values - exact)) < 1e-11
-    assert abs(sol.v_t.at(2.0) - (-0.25)) < 1e-11
+    assert np.max(np.abs(v_t - exact)) < 1e-11
+    assert abs(grid.interpolate(v_t, 2.0) - (-0.25)) < 1e-11
     d_exact = -6.0 * grid.r_nodes ** -4.0 + 4.0 * grid.r_nodes ** -3.0
-    assert np.max(np.abs(sol.dv_t.values - d_exact)) < 1e-11
-    assert sol.v_r.max_abs() == 0.0
+    assert np.max(np.abs(dv_t - d_exact)) < 1e-11
+    assert np.max(np.abs(v_r)) == 0.0
 
 
 @pytest.mark.parametrize("c", [0.0, 0.5, -1.3])
@@ -52,27 +52,26 @@ def test_axisymmetric_divergence_vs_pointwise_power_data(grid, c):
         zeros(grid), power_profile(grid, 1.0, -3.0), power_profile(grid, c, -3.0), zeros(grid)))
     sol_pw = hz.solve_mode(0, PARAMS, grid,
                            pointwise=(zeros(grid), power_profile(grid, c - 2.0, -4.0)))
-    for div, pw in ((sol_div.v_t, sol_pw.v_t), (sol_div.dv_t, sol_pw.dv_t)):
-        assert np.max(np.abs(div.values - pw.values)) < 1e-11 * pw.max_abs()
+    for div, pw in zip(sol_div[:2], sol_pw[:2]):
+        assert np.max(np.abs(div[1] - pw[1])) < 1e-11 * np.max(np.abs(pw[1]))
 
 
 def test_axisymmetric_manufactured_roundtrip(grid):
     rho, gamma = PARAMS.rho, PARAMS.gamma
     target = PowerSum.of((1.0, 1.0 - rho), (-1.0, 1.0 - gamma))
     f_t = power_profile(grid, (rho - 2.0) * (gamma - rho), -1.0 - rho)
-    sol = hz.solve_mode(0, PARAMS, grid, pointwise=(zeros(grid), f_t))
+    v, _, _ = hz.solve_mode(0, PARAMS, grid, pointwise=(zeros(grid), f_t))
     exact = target(grid.r_nodes)
-    rel = np.max(np.abs(sol.v_t.values - exact)) / np.max(np.abs(exact))
+    rel = np.max(np.abs(v[1] - exact)) / np.max(np.abs(exact))
     assert rel < 1e-10
-    assert abs(sol.v_t.values[0]) < 1e-12
+    assert abs(v[1, 0]) < 1e-12
 
 
 def test_axisymmetric_ode_residual(grid):
     f_t = power_profile(grid, 1.0, -4.0)
-    sol = hz.solve_mode(0, PARAMS, grid, pointwise=(zeros(grid), f_t))
+    v, dv, _ = hz.solve_mode(0, PARAMS, grid, pointwise=(zeros(grid), f_t))
     la = 1.0 - PARAMS.gamma
-    assert euler_residual(grid, sol.v_t.values, f_t.values, la, PARAMS.gamma,
-                          dv=sol.dv_t.values) < 1e-6
+    assert euler_residual(grid, v[1], f_t.values, la, PARAMS.gamma, dv=dv[1]) < 1e-6
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -148,19 +147,19 @@ def test_biot_savart_closed_form(grid):
     a = s5 + 2.0
     kappa = 3.0 / (a - 1.0)
     omega = ModeProfile.from_powersum(PowerSum.of((1.0, -a), (-kappa, -4.0)), grid)
-    v_r, v_t, dv_r, dv_t = hz.biot_savart(1, omega)
+    (v_r, v_t), _, _ = hz.biot_savart(1, omega)
     r = grid.r_nodes
     acc = (1.0 - r ** (3.0 - a)) / (a - 3.0) - kappa * (1.0 - 1.0 / r)
     out = r ** (1.0 - a) / (a - 1.0) - kappa * r ** -3.0 / 3.0
-    assert np.max(np.abs(v_r.values - 0.5j * (r ** -2.0 * acc + out))) < 1e-12
-    assert np.max(np.abs(v_t.values - 0.5 * (r ** -2.0 * acc - out))) < 1e-12
+    assert np.max(np.abs(v_r - 0.5j * (r ** -2.0 * acc + out))) < 1e-12
+    assert np.max(np.abs(v_t - 0.5 * (r ** -2.0 * acc - out))) < 1e-12
     moment = full_moment(grid, 0.0, omega.values, omega.tail)
     assert abs(moment) < 1e-12 * hz._abs_moment(grid, 0.0, omega)
 
 
 def test_biot_savart_zero(grid):
-    v_r, v_t, _, _ = hz.biot_savart(2, ModeProfile.zeros(grid))
-    assert v_r.max_abs() == 0.0 and v_t.max_abs() == 0.0
+    v, _, _ = hz.biot_savart(2, ModeProfile.zeros(grid))
+    assert np.max(np.abs(v)) == 0.0
 
 
 def test_biot_savart_rejects_bad_moment(grid):
@@ -172,19 +171,21 @@ def test_biot_savart_rejects_bad_moment(grid):
 def test_reconstruction_satisfies_curl_and_divergence(grid):
     # rot of the reconstructed pair returns omega; divergence vanishes
     n = 2
-    sol = hz.solve_mode(n, PARAMS, grid, divergence=(
-        zeros(grid), power_profile(grid, 1.0, -3.0), power_profile(grid, 0.5, -3.0), zeros(grid)))
+    blk = (zeros(grid), power_profile(grid, 1.0, -3.0), power_profile(grid, 0.5, -3.0),
+           zeros(grid))
+    (v_r, v_t), (dv_r, dv_t), _ = hz.solve_mode(n, PARAMS, grid, divergence=blk)
+    omega, _, _ = hz.compute_vorticity_mode(n, PARAMS, grid, divergence=blk)
     r = grid.r_nodes
-    curl = (sol.v_t.values + r * sol.dv_t.values - 1j * n * sol.v_r.values) / r
-    assert np.max(np.abs(curl - sol.omega.values)) < 1e-9 * sol.omega.max_abs()
+    curl = (v_t + r * dv_t - 1j * n * v_r) / r
+    assert np.max(np.abs(curl - omega.values)) < 1e-9 * omega.max_abs()
     fieldv = VelocityField.zero(grid, n)
-    fieldv.values[2 * n, :2] = sol.v_r.values, sol.v_t.values
-    fieldv.dvalues[2 * n, :2] = sol.dv_r.values, sol.dv_t.values
+    fieldv.values[2 * n, :2] = v_r, v_t
+    fieldv.dvalues[2 * n, :2] = dv_r, dv_t
     res = structural_residuals(fieldv)
     assert res["divergence_rel"][2 * n] < 1e-10
     assert res["boundary_rel"][2 * n] < 1e-10
-    moment = full_moment(grid, 1.0 - n, sol.omega.values, sol.omega.tail)
-    assert abs(moment) < 1e-10 * hz._abs_moment(grid, 1.0 - n, sol.omega)
+    moment = full_moment(grid, 1.0 - n, omega.values, omega.tail)
+    assert abs(moment) < 1e-10 * hz._abs_moment(grid, 1.0 - n, omega)
 
 
 # -- full-mode round trips -----------------------------------------------------
@@ -194,12 +195,11 @@ def test_stream_manufactured_roundtrip(grid, n):
     params = HamelParameters(1.3, 4.0, 2.5)
     mu = _stream_mu()
     f_t, v_r_ps, v_t_ps = manufacture_horizontal_stream(mu, n, params)
-    sol = hz.solve_mode(n, params, grid,
-                        pointwise=(zeros(grid), ModeProfile.from_powersum(f_t, grid)))
+    (v_r, v_t), _, _ = hz.solve_mode(
+        n, params, grid, pointwise=(zeros(grid), ModeProfile.from_powersum(f_t, grid)))
     vr_ex, vt_ex = v_r_ps(grid.r_nodes), v_t_ps(grid.r_nodes)
     scale = max(np.max(np.abs(vr_ex)), np.max(np.abs(vt_ex)))
-    err = max(np.max(np.abs(sol.v_r.values - vr_ex)),
-              np.max(np.abs(sol.v_t.values - vt_ex))) / scale
+    err = max(np.max(np.abs(v_r - vr_ex)), np.max(np.abs(v_t - vt_ex))) / scale
     assert err < 1e-8
 
 
@@ -215,13 +215,15 @@ def test_conjugation_symmetry(grid):
     n = 2
     params = HamelParameters(1.3, 4.0, 2.5)
     f_t, _, _ = manufacture_horizontal_stream(_stream_mu(), n, params)
-    sol_p = hz.solve_mode(n, params, grid,
-                          pointwise=(zeros(grid), ModeProfile.from_powersum(f_t, grid)))
-    sol_m = hz.solve_mode(-n, params, grid, pointwise=(
-        zeros(grid), ModeProfile.from_powersum(f_t.conjugate(), grid)))
-    assert np.max(np.abs(sol_m.v_r.values - np.conj(sol_p.v_r.values))) < 1e-14
-    assert np.max(np.abs(sol_m.v_t.values - np.conj(sol_p.v_t.values))) < 1e-14
-    assert abs(sol_m.c_n - np.conj(sol_p.c_n)) < 1e-14
+    pw_p = (zeros(grid), ModeProfile.from_powersum(f_t, grid))
+    pw_m = (zeros(grid), ModeProfile.from_powersum(f_t.conjugate(), grid))
+    v_p, _, _ = hz.solve_mode(n, params, grid, pointwise=pw_p)
+    v_m, _, _ = hz.solve_mode(-n, params, grid, pointwise=pw_m)
+    assert np.max(np.abs(v_m[0] - np.conj(v_p[0]))) < 1e-14
+    assert np.max(np.abs(v_m[1] - np.conj(v_p[1]))) < 1e-14
+    _, c_p, _ = hz.compute_vorticity_mode(n, params, grid, pointwise=pw_p)
+    _, c_m, _ = hz.compute_vorticity_mode(-n, params, grid, pointwise=pw_m)
+    assert abs(c_m - np.conj(c_p)) < 1e-14
 
 
 def test_decay_rate_of_power_envelope_solve(grid):
@@ -230,8 +232,8 @@ def test_decay_rate_of_power_envelope_solve(grid):
     params = HamelParameters(0.0, 4.0, 2.3)
     fe = -2.0 * (params.rho - 1.0)
     comps = (power_profile(grid, 1.0, fe),) * 4
-    sol = hz.solve_mode(2, params, grid, divergence=comps)
-    amp = np.sqrt(np.abs(sol.v_r.values) ** 2 + np.abs(sol.v_t.values) ** 2)
+    v, _, _ = hz.solve_mode(2, params, grid, divergence=comps)
+    amp = np.sqrt(np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2)
     fit = fit_decay((grid.r_nodes, amp), (10.0, grid.r_max / 3.0), grid=grid)
     assert abs(fit.slope - (3.0 - 2.0 * params.rho)) < 0.05
 
@@ -243,9 +245,7 @@ def test_mode_gain_bounded_over_modes(grid_fine):
     gains = []
     for n in (1, 2, 4, 8, 16, 32, 64):
         comps = (power_profile(grid_fine, 1.0, fe),) * 4
-        sol = hz.solve_mode(n, params, grid_fine, divergence=comps)
-        from hamelflow.profiles import weighted_sup_norm
-        gains.append(max(weighted_sup_norm(sol.v_r, params.rho - 1.0).sup_norm_weighted,
-                         weighted_sup_norm(sol.v_t, params.rho - 1.0).sup_norm_weighted))
+        v, _, _ = hz.solve_mode(n, params, grid_fine, divergence=comps)
+        gains.append(float(np.max(grid_fine.r_nodes ** (params.rho - 1.0) * np.abs(v))))
     assert max(gains) < 10.0
     assert gains == sorted(gains, reverse=True)

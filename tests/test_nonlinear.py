@@ -104,14 +104,14 @@ def direct_mode_solve(forcing, n, params, grid):
     the summed values of the pointwise and divergence solves and the larger
     tail exponent."""
     F = {k: forcing.profile(n, k) for k in nl.TENSOR_KEYS}
-    h = [hz.solve_mode(n, params, grid,
-                       pointwise=(forcing.profile(n, "r"), forcing.profile(n, "t"))),
-         hz.solve_mode(n, params, grid, divergence=(F["rr"], F["rt"], F["tr"], F["tt"]))]
-    v = [vt.solve_vertical_mode(n, params, grid, pointwise=forcing.profile(n, "3")),
-         vt.solve_vertical_mode(n, params, grid, divergence=(F["r3"], F["t3"]))]
-    parts = ([s.v_r for s in h], [s.v_t for s in h], [s.v_3 for s in v])
-    return [(p[0].values + p[1].values, max(q.tail.slowest_exponent() for q in p))
-            for p in parts]
+    h_pw, _, h_pw_exp = hz.solve_mode(
+        n, params, grid, pointwise=(forcing.profile(n, "r"), forcing.profile(n, "t")))
+    h_div, _, h_div_exp = hz.solve_mode(
+        n, params, grid, divergence=(F["rr"], F["rt"], F["tr"], F["tt"]))
+    v_pw, _, v_pw_exp = vt.solve_vertical_mode(n, params, grid, pointwise=forcing.profile(n, "3"))
+    v_div, _, v_div_exp = vt.solve_vertical_mode(n, params, grid, divergence=(F["r3"], F["t3"]))
+    horizontal = [(h_pw[a] + h_div[a], max(h_pw_exp[a], h_div_exp[a])) for a in (0, 1)]
+    return horizontal + [(v_pw + v_div, max(v_pw_exp, v_div_exp))]
 
 
 def forcing_dicts(spec):
@@ -251,15 +251,18 @@ def test_T_at_zero_equals_direct_linear_solves(grid):
 
 @pytest.mark.parametrize("alpha", [-3.0, 1.7])
 def test_T_mirrored_modes_equal_direct_solves(grid, alpha):
-    # apply_T solves n >= 0 and conjugates; solve the negative modes directly
+    # apply_T solves n >= 0 and conjugates; solve mode 0 and the negative
+    # modes directly.  Mode 0's radial profile is exactly zero with exponent
+    # -inf, so there the bound reads got == want.
     params = HamelParameters(alpha=alpha, gamma=4.0, rho=2.5)
     forcing = random_forcing(grid, params, 1e-3, seed=5, n_modes=24)
     out = nl.apply_T(nl.VelocityField.zero(grid, 24), forcing, params, grid)
-    for n in (-1, -7, -24):
+    for n in (0, -1, -7, -24):
         for a, (want, want_exp) in enumerate(direct_mode_solve(forcing, n, params, grid)):
             got = out.profile(n, a)
-            assert np.max(np.abs(got.values - want)) < 1e-14 * np.max(np.abs(want))
+            assert np.max(np.abs(got.values - want)) <= 1e-14 * np.max(np.abs(want))
             assert got.tail.slowest_exponent() == want_exp
+    assert out.exponents[24, 0] == -np.inf
 
 
 def test_T_rejects_non_real_iterate(grid):

@@ -34,9 +34,7 @@ from .profiles import (
     EnvelopeTail,
     ModeProfile,
     PowerSum,
-    WeightedNormReport,
     integrate_weighted,
-    weighted_sup_norm,
 )
 from .spectral import SpectralCoefficients, compute_coefficients
 from .vertical import solve_vertical_mode

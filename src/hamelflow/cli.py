@@ -1,15 +1,16 @@
 """Batch front end: config parsing, run orchestration, artifact emission.
 
-Artifacts per run: per-mode radial profiles as CSV (`r, re, im`), a
-machine-readable JSON summary, and plot-ready decay data for |u - V|.
-Identical config and seed produce byte-identical summaries.
+Artifacts per run: the radial profiles of the modes n = 0..N as CSV
+(`r, re, im`; mode -n is the conjugate of mode n), a machine-readable JSON
+summary, and plot-ready decay data for |u - V|.  Identical config and seed
+produce byte-identical summaries.
 
 Exit codes: 0 success, 2 invalid configuration, 3 the fixed-point
 iteration left the contraction regime or hit its step limit (diagnostics
 are still written), 4 a mode solve failed its boundary or moment identity
 (`BoundaryError`; the summary records the error), 1 unexpected I/O
-failure (a config file that cannot be read exits 1 with a one-line
-message).
+failure (a config file that cannot be read, or an output directory that
+cannot be created, exits 1 with a one-line message).
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def _write_profiles(out_dir: Path, fieldv):
     prof_dir.mkdir(parents=True, exist_ok=True)
     # one template per run, filled with each profile's interleaved (re, im)
     template = "r,re,im\n" + "".join(f"{x:.17g},%.17g,%.17g\n" for x in fieldv.grid.r_nodes)
-    for n, triple in enumerate(fieldv.values, start=-fieldv.cutoff):
+    for n, triple in enumerate(fieldv.values):
         for tag, values in zip(("vr", "vt", "v3"), triple):
             parts = tuple(np.ascontiguousarray(values).view(float).tolist())
             (prof_dir / f"mode_{n:+d}_{tag}.csv").write_text(template % parts)
@@ -188,7 +189,11 @@ def run(config: RunConfig) -> int:
         return EXIT_CONFIG
 
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
     summary = {
         "config": {

@@ -3,12 +3,12 @@
 Three families cover the test surface: exact power-law envelopes that sit
 on the admissible decay boundary, a compactly supported polynomial bump
 that exercises the fast-decay branches, and seeded randomized
-coefficients for property tests.  Coefficients are given for n >= 0 and
-mirrored by conjugation so the physical-space force is real.  Modes beyond
-the cutoff are dropped; a cutoff that drops every nonzero coefficient is an
-`AdmissibilityError`, not a silent zero forcing.  Each family
-fills the rows of a `ForcingSpec`: power-law slots with their exponent,
-bump slots with no tail.
+coefficients for property tests.  Coefficients are given for n >= 0, and
+each family fills the rows of modes 0..N of a `ForcingSpec`: power-law
+slots with their exponent, bump slots with no tail.  Mode -n is the
+conjugate of mode n, so the physical-space force is real.  Modes beyond
+the cutoff are dropped; a cutoff that drops every nonzero coefficient is
+an `AdmissibilityError`, not a silent zero forcing.
 """
 
 from __future__ import annotations
@@ -24,37 +24,37 @@ from .profiles import PowerSum
 FAMILIES = ("power", "bump", "random")
 
 
-def _mirror(coefficients):
+def _half_spectrum(coefficients):
+    """The coefficients of modes n >= 0 as complex numbers, checked for a
+    real force: no negative mode and a real mode 0."""
     out = {}
     for n, c in coefficients.items():
         n = int(n)
         if n < 0:
-            raise ValueError("family coefficients are given for n >= 0 and mirrored")
+            raise ValueError("family coefficients are given for n >= 0; "
+                             "mode -n is the conjugate of mode n")
         out[n] = complex(c)
-        if n > 0:
-            out[-n] = np.conj(complex(c))
     if 0 in out and abs(out[0].imag) > 0:
         raise ValueError("mode-0 coefficient must be real for a real force")
     return out
 
 
 def _truncate(coefficients: dict, cutoff: int) -> dict:
-    """The nonzero coefficients with |n| <= cutoff; the cutoff must keep one."""
+    """The nonzero coefficients with n <= cutoff; the cutoff must keep one."""
     nonzero = {n: c for n, c in coefficients.items() if c != 0}
-    kept = {n: c for n, c in nonzero.items() if abs(n) <= cutoff}
+    kept = {n: c for n, c in nonzero.items() if n <= cutoff}
     if nonzero and not kept:
         raise AdmissibilityError(
             f"mode cutoff {cutoff} drops every nonzero forcing coefficient "
-            f"(modes {sorted(n for n in nonzero if n >= 0)})")
+            f"(modes {sorted(nonzero)})")
     return kept
 
 
 def _put_power(spec: ForcingSpec, n: int, gp: PowerSum, fp: PowerSum):
     """Fill every g slot of mode n with gp and every F slot with fp."""
     r = spec.grid.r_nodes
-    i = n + spec.cutoff
-    spec.g[i], spec.g_exponents[i] = gp(r), gp.slowest_exponent()
-    spec.F[i], spec.F_exponents[i] = fp(r), fp.slowest_exponent()
+    spec.g[n], spec.g_exponents[n] = gp(r), gp.slowest_exponent()
+    spec.F[n], spec.F_exponents[n] = fp(r), fp.slowest_exponent()
 
 
 def power_envelope_forcing(grid: RadialGrid, params: HamelParameters, epsilon: float,
@@ -66,8 +66,8 @@ def power_envelope_forcing(grid: RadialGrid, params: HamelParameters, epsilon: f
     The exponent overrides exist for diagnostics; defaults saturate the
     admissible envelopes.
     """
-    coeff = _mirror(coefficients)
-    cutoff = max(abs(n) for n in coeff) if cutoff is None else cutoff
+    coeff = _half_spectrum(coefficients)
+    cutoff = max(coeff) if cutoff is None else cutoff
     ge = -(2.0 * params.rho - 1.0) if g_exponent is None else g_exponent
     fe = -2.0 * (params.rho - 1.0) if f_exponent is None else f_exponent
     spec = ForcingSpec.zero(grid, cutoff)
@@ -123,13 +123,13 @@ def bump_profile(grid: RadialGrid, support=(2.0, 4.0), snap: bool = True,
 def bump_forcing(grid: RadialGrid, params: HamelParameters, epsilon: float,
                  coefficients: dict, cutoff: int | None = None,
                  support=(2.0, 4.0)) -> ForcingSpec:
-    coeff = _mirror(coefficients)
-    cutoff = max(abs(n) for n in coeff) if cutoff is None else cutoff
+    coeff = _half_spectrum(coefficients)
+    cutoff = max(coeff) if cutoff is None else cutoff
     fn, _ = bump_profile(grid, support)
     base = fn(grid.r_nodes).astype(complex)
     spec = ForcingSpec.zero(grid, cutoff)
     for n, c in _truncate(coeff, cutoff).items():
-        spec.g[n + cutoff] = spec.F[n + cutoff] = c * epsilon * base
+        spec.g[n] = spec.F[n] = c * epsilon * base
     return spec
 
 
@@ -147,10 +147,6 @@ def random_forcing(grid: RadialGrid, params: HamelParameters, epsilon: float,
         c = rng.normal() + (1j * rng.normal() if n > 0 else 0.0)
         _put_power(spec, n, PowerSum.of((c * epsilon, ge)),
                    PowerSum.of((c * epsilon, fe + rng.uniform(-0.5, 0.0))))
-    for rows in (spec.g, spec.F):
-        rows[:cutoff] = np.conj(rows[:cutoff:-1])
-    for exps in (spec.g_exponents, spec.F_exponents):
-        exps[:cutoff] = exps[:cutoff:-1]
     return spec
 
 

@@ -1,33 +1,37 @@
 """The nonlinear solve: spectral convolution, the linearized solve map, and
 the fixed-point iteration.
 
-A `VelocityField` is three arrays: values and radial derivatives of the
-modes -N..N, shape (2N+1, 3, M) with mode n at index n + N, and a (2N+1, 3)
-array of tail exponents.  A `ForcingSpec` holds the force in the same
-layout: (2N+1, 3, M) pointwise and (2N+1, 6, M) tensor rows, each slot with
-the exponent of its one-term power tail.  Norms, reality checks, the
-product and the CLI writers work on these arrays; `ModeProfile`s appear
-only at the edges: the inputs of the per-mode solves, which take a mode
-number and one block of forcing slots that `ForcingSpec.profile` wraps
-with their exact `PowerSum` tails, and point evaluation
-(`VelocityField.profile`).  A solve returns node arrays of values and
-derivatives and the tail exponent of each component it writes.
+Force and solution are real fields, so their angular modes satisfy
+v_{-n} = conj(v_n) and modes 0..N determine everything, as in a real-input
+FFT.  A `VelocityField` is three arrays: values and radial derivatives of
+the modes 0..N, shape (N+1, 3, M) with mode n at index n, and an (N+1, 3)
+array of tail exponents; mode -n is the conjugate of mode n and is never
+stored.  A `ForcingSpec` holds the force in the same layout: (N+1, 3, M)
+pointwise and (N+1, 6, M) tensor rows, each slot with the exponent of its
+one-term power tail.  A sum over the modes -N..N is a sum over 0..N with
+weight 1 at n = 0 and 2 at n >= 1 (`_mode_weights`).  Norms, the product
+and the CLI writers work on these arrays; `ModeProfile`s appear only at
+the edges: the inputs of the per-mode solves, which take a mode number and
+one block of forcing slots that `ForcingSpec.profile` wraps with their
+exact `PowerSum` tails, and point evaluation (`VelocityField.profile`).  A
+solve returns node arrays of values and derivatives and the tail exponent
+of each component it writes.
 
 One application of the map T solves the linearized system with forcing
-g + div(-w (x) w + F).  Force and iterate are real, v_{-n} = conj(v_n),
-and the mode -n operator is the conjugate of the mode n one, so T solves
-n = 0..N, adds every solve of a mode (one per nonzero pointwise or
-divergence block) into the mode's result rows, and sets mode -n to the
-conjugate of mode n.  The product is
-pseudo-spectral (Orszag 1971) on L >= 3N + 1 angles: sample mode n
-collects modes n +- L, which lie beyond the product's |n| <= 2N for
-|n| <= N, so the modes kept are exact.  L is 5-smooth (75 at N = 24;
-numpy's FFT is ~5x slower at the prime 73).  Because the data is
-independent of the axial variable, the third row of the tensor w (x) w
-never enters any divergence and is not formed.  The iteration v <- T(v)
-is monitored empirically: three consecutive non-contracting steps abort
-the run, which is the checkable shadow of the smallness hypothesis of
-the underlying theory.
+g + div(-w (x) w + F).  The mode -n operator is the conjugate of the mode
+n one, so T solves n = 0..N and adds every solve of a mode (one per
+nonzero pointwise or divergence block) into the mode's result rows.  The
+one reality condition these rows can break is a mode-0 row with an
+imaginary part; the iterate and the forcing are checked for it.  The
+product is pseudo-spectral (Orszag 1971) on L >= 3N + 1 real angle
+samples (`irfft`, real products, `rfft`): sample mode n collects modes
+n +- L, which lie beyond the product's |n| <= 2N for |n| <= N, so the
+modes kept are exact.  L is 5-smooth (75 at N = 24; numpy's FFT is ~5x
+slower at the prime 73).  Because the data is independent of the axial
+variable, the third row of the tensor w (x) w never enters any divergence
+and is not formed.  The iteration v <- T(v) is monitored empirically:
+three consecutive non-contracting steps abort the run, which is the
+checkable shadow of the smallness hypothesis of the underlying theory.
 """
 
 from __future__ import annotations
@@ -56,14 +60,14 @@ _HORIZONTAL, _VERTICAL = slice(0, 2), slice(2, 3)
 
 @dataclass
 class VelocityField:
-    """Velocity triples of the modes -N..N with their radial derivatives.
+    """Velocity triples of the modes 0..N of a real field with their radial
+    derivatives; mode -n is the conjugate of mode n.
 
-    `values` and `dvalues` are complex arrays of shape (2N+1, 3, M): mode n
-    sits at index n + N, components in the (e_r, e_theta, e_3) basis, M grid
-    nodes.  `exponents` (2N+1, 3) holds each component's tail exponent
+    `values` and `dvalues` are complex arrays of shape (N+1, 3, M): mode n
+    sits at index n, components in the (e_r, e_theta, e_3) basis, M grid
+    nodes.  `exponents` (N+1, 3) holds each component's tail exponent
     beyond r_max, -inf for no tail; with the r_max value it is the whole
-    tail (`profile`).  A real field in physical space satisfies
-    v_{a,-n} = conj(v_{a,n}).
+    tail (`profile`).
     """
 
     grid: RadialGrid
@@ -73,18 +77,19 @@ class VelocityField:
 
     @property
     def cutoff(self) -> int:
-        return len(self.values) // 2
+        return len(self.values) - 1
 
     @staticmethod
     def zero(grid: RadialGrid, cutoff: int) -> "VelocityField":
-        shape = (2 * cutoff + 1, 3, grid.n_nodes)
+        shape = (cutoff + 1, 3, grid.n_nodes)
         return VelocityField(grid, np.zeros(shape, dtype=complex),
                              np.zeros(shape, dtype=complex), np.full(shape[:2], -np.inf))
 
     def profile(self, n: int, a: int) -> ModeProfile:
-        """Component a of mode n with its envelope tail, for point evaluation."""
-        vals = self.values[n + self.cutoff, a]
-        e = self.exponents[n + self.cutoff, a]
+        """Component a of mode n >= 0 with its envelope tail, for point
+        evaluation."""
+        vals = self.values[n, a]
+        e = self.exponents[n, a]
         tail = envelope_tail(self.grid, e, vals) if np.isfinite(e) else ZERO_TAIL
         return ModeProfile(vals, self.grid, tail)
 
@@ -92,61 +97,72 @@ class VelocityField:
         """The six horizontal-gradient components of the modes at `rows`.
 
         Order: (d_r v_r, d_r v_t, d_r v_3, (in v_r - v_t)/r,
-        (in v_t + v_r)/r, in v_3 / r), one at a time: (2N+1, M) arrays by
-        default, (M,) arrays for the single mode at index `rows`.
+        (in v_t + v_r)/r, in v_3 / r), one at a time: (N+1, M) arrays by
+        default, (M,) arrays for the single mode n = `rows`.  The gradient
+        of mode -n is the conjugate of mode n's.
         """
         r = self.grid.r_nodes
-        i_n = 1j * np.arange(-self.cutoff, self.cutoff + 1)[rows, None]
+        i_n = 1j * np.arange(self.cutoff + 1)[rows, None]
         v_r, v_t, v_3 = np.moveaxis(self.values[rows], -2, 0)
         yield from np.moveaxis(self.dvalues[rows], -2, 0)
         yield (i_n * v_r - v_t) / r
         yield (i_n * v_t + v_r) / r
         yield i_n * v_3 / r
 
-    def reality_defect(self) -> float:
-        """Max deviation from v_{a,-n} = conj(v_{a,n}), relative to field scale."""
-        return _reality_defect(self.values)
-
     def theta_rms(self) -> np.ndarray:
         """sqrt of the theta-mean square of |v| at every grid node."""
-        return np.sqrt(np.sum(np.abs(self.values) ** 2, axis=(0, 1)))
+        weights = _mode_weights(self.cutoff + 1)
+        return np.sqrt(weights @ np.sum(np.abs(self.values) ** 2, axis=1))
 
 
-def _reality_defect(*arrays) -> float:
-    """Max deviation from x_{-n} = conj(x_n) over (2N+1, K, M) mode arrays,
-    relative to their largest entry."""
+def _mode_weights(count: int) -> np.ndarray:
+    """Weights that turn a sum over the stored modes 0..N into the sum over
+    -N..N: 1 for n = 0, 2 for n >= 1 (mode -n is the conjugate)."""
+    weights = np.full(count, 2.0)
+    weights[0] = 1.0
+    return weights
+
+
+def _mode0_imag(*arrays) -> float:
+    """Largest imaginary part of the mode-0 rows of (N+1, K, M) mode arrays,
+    relative to their largest entry: the one reality condition that modes
+    0..N can break."""
     scale = max(float(np.max(np.abs(x))) for x in arrays)
     if scale == 0.0:
         return 0.0
-    N = len(arrays[0]) // 2
-    return max(float(np.max(np.abs(x[N:] - np.conj(x[N::-1])))) for x in arrays) / scale
+    return max(float(np.max(np.abs(x[0].imag))) for x in arrays) / scale
 
 
 def _mode_sup(slots, weight) -> np.ndarray:
-    """Per-mode max of weight * |slot| over (2N+1, M) slots."""
+    """Per-mode max of weight * |slot| over (N+1, M) slots."""
     return functools.reduce(np.maximum, (np.max(weight * np.abs(s), axis=-1) for s in slots))
+
+
+def _l1(sups) -> float:
+    """Sum over the modes -N..N of per-mode sups given for 0..N."""
+    return float(_mode_weights(len(sups)) @ sups)
 
 
 def value_norm(fieldv: VelocityField, s: float) -> float:
     """Sum over modes of the component-wise max of r^s |v_n|; at s = rho - 1
     it is the value half of `x_norm`."""
-    return float(np.sum(_mode_sup(fieldv.values.transpose(1, 0, 2), fieldv.grid.r_nodes ** s)))
+    return _l1(_mode_sup(fieldv.values.transpose(1, 0, 2), fieldv.grid.r_nodes ** s))
 
 
 def x_norm(fieldv: VelocityField, rho: float):
     """Discrete solution-space norm: l1-over-modes weighted sups of the field
     (weight rho-1) plus its horizontal gradient (weight rho)."""
     grad = _mode_sup(fieldv.gradients(), fieldv.grid.r_nodes ** rho)
-    return value_norm(fieldv, rho - 1.0) + float(np.sum(grad))
+    return value_norm(fieldv, rho - 1.0) + _l1(grad)
 
 
 def field_diff_norm(a: VelocityField, b: VelocityField, rho: float) -> float:
-    """x_norm of (a - b), one (2N+1, M) slot of the difference at a time."""
+    """x_norm of (a - b), one (N+1, M) slot of the difference at a time."""
     r = a.grid.r_nodes
     vals = _mode_sup(map(np.subtract, a.values.transpose(1, 0, 2), b.values.transpose(1, 0, 2)),
                      r ** (rho - 1.0))
     grads = _mode_sup(map(np.subtract, a.gradients(), b.gradients()), r ** rho)
-    return float(np.sum(vals) + np.sum(grads))
+    return _l1(vals) + _l1(grads)
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +173,12 @@ def field_diff_norm(a: VelocityField, b: VelocityField, rho: float) -> float:
 class ForcingSpec:
     """External force f = g + div F by angular mode, in the field layout.
 
-    `g` (2N+1, 3, M) holds the pointwise triples (f_r, f_t, f_3) and `F`
-    (2N+1, 6, M) the tensor slots in `TENSOR_KEYS` order, mode n at index
-    n + N.  `g_exponents` (2N+1, 3) and `F_exponents` (2N+1, 6) hold each
-    slot's one-term power tail exponent, -inf for no tail; with the r_max
-    value it is the slot's exact tail (`profile`).
+    `g` (N+1, 3, M) holds the pointwise triples (f_r, f_t, f_3) and `F`
+    (N+1, 6, M) the tensor slots in `TENSOR_KEYS` order, mode n at index n;
+    mode -n is the conjugate of mode n.  `g_exponents` (N+1, 3) and
+    `F_exponents` (N+1, 6) hold each slot's one-term power tail exponent,
+    -inf for no tail; with the r_max value it is the slot's exact tail
+    (`profile`).
     """
 
     grid: RadialGrid
@@ -172,35 +189,35 @@ class ForcingSpec:
 
     @property
     def cutoff(self) -> int:
-        return len(self.g) // 2
+        return len(self.g) - 1
 
     @staticmethod
     def zero(grid: RadialGrid, cutoff: int) -> "ForcingSpec":
-        m, k = 2 * cutoff + 1, len(TENSOR_KEYS)
+        m, k = cutoff + 1, len(TENSOR_KEYS)
         return ForcingSpec(grid, np.zeros((m, 3, grid.n_nodes), dtype=complex),
                            np.zeros((m, k, grid.n_nodes), dtype=complex),
                            np.full((m, 3), -np.inf), np.full((m, k), -np.inf))
 
     def profile(self, n: int, key: str) -> ModeProfile:
-        """Slot `key` of mode n ("r", "t", "3" of g or a tensor key of F)
-        with its exact tail, as the mode solvers take it."""
-        i = n + self.cutoff
+        """Slot `key` of mode n >= 0 ("r", "t", "3" of g or a tensor key of
+        F) with its exact tail, as the mode solvers take it."""
         if key in _COMP:
-            vals, e = self.g[i, _COMP[key]], self.g_exponents[i, _COMP[key]]
+            vals, e = self.g[n, _COMP[key]], self.g_exponents[n, _COMP[key]]
         else:
             j = TENSOR_KEYS.index(key)
-            vals, e = self.F[i, j], self.F_exponents[i, j]
+            vals, e = self.F[n, j], self.F_exponents[n, j]
         tail = PowerSum.of((vals[-1] * self.grid.r_max ** -e, e)) if np.isfinite(e) else ZERO_TAIL
         return ModeProfile(vals, self.grid, tail)
 
     def norms(self, rho: float):
         """(l1 norm of g at weight 2 rho - 1, l1 norm of F at weight 2(rho-1))."""
         r = self.grid.r_nodes
-        return (float(np.sum(_mode_sup(self.g.transpose(1, 0, 2), r ** (2.0 * rho - 1.0)))),
-                float(np.sum(_mode_sup(self.F.transpose(1, 0, 2), r ** (2.0 * (rho - 1.0))))))
+        return (_l1(_mode_sup(self.g.transpose(1, 0, 2), r ** (2.0 * rho - 1.0))),
+                _l1(_mode_sup(self.F.transpose(1, 0, 2), r ** (2.0 * (rho - 1.0)))))
 
     def validate(self, params: HamelParameters):
-        """Envelope-class and reality checks for the fixed-point pipeline."""
+        """Envelope-class and mode-0 reality checks for the fixed-point
+        pipeline."""
         for kind, rows, exps, keys, bound, label in (
                 ("pointwise", self.g, self.g_exponents, "rt3",
                  -(2.0 * params.rho - 1.0), "-(2*rho-1)"),
@@ -212,14 +229,12 @@ class ForcingSpec:
                 i, a = bad[0]
                 raise AdmissibilityError(
                     f"{kind} forcing envelope exponent {exps[i, a]} at mode "
-                    f"{i - self.cutoff} ({keys[a]}) must be <= {label} = {bound}")
-        defect = self.reality_defect()
+                    f"{i} ({keys[a]}) must be <= {label} = {bound}")
+        defect = _mode0_imag(self.g, self.F)
         if defect > 1e-10:
             raise AdmissibilityError(
-                f"forcing violates the reality condition by {defect:.2e}")
-
-    def reality_defect(self) -> float:
-        return _reality_defect(self.g, self.F)
+                f"forcing violates the reality condition: mode 0 has a relative "
+                f"imaginary part {defect:.2e}")
 
 
 # ---------------------------------------------------------------------------
@@ -235,56 +250,63 @@ def _fft_length(n: int) -> int:
     return n if m == 1 else _fft_length(n + 1)
 
 
+def _both_signs(x):
+    """Rows of the modes -N..N from rows 0..N of a quantity that is the same
+    for modes n and -n (an exponent, a nonzero mask)."""
+    return np.concatenate((x[:0:-1], x))
+
+
 def tensor_convolution(v: VelocityField, w: VelocityField):
     """Mode family of the tensor product v (x) w, truncated to the cutoff.
 
-    Returns the (2N+1, 6, M) product, its slots in `TENSOR_KEYS` order (the
-    (3r, 3t, 33) row never enters a divergence of z-independent data and is
-    not formed), and the (2N+1,) max-plus convolution of the operands' mode
-    tail exponents.  The fields need not be real.  Slots that no pair of
-    nonzero operand components reaches are exactly zero.
+    Returns the (N+1, 6, M) product rows of modes 0..N, their slots in
+    `TENSOR_KEYS` order (the (3r, 3t, 33) row never enters a divergence of
+    z-independent data and is not formed), and the (N+1,) max-plus
+    convolution of the operands' mode tail exponents over the modes -N..N.
+    Slots that no pair of nonzero operand components reaches are exactly
+    zero.  The operands are real fields: the imaginary part of a mode-0 row
+    does not enter.
     """
     if v.cutoff != w.cutoff:
         raise ValueError("cutoff mismatch between convolution operands")
     if v.grid is not w.grid:
         raise ValueError("convolution operands live on different grids")
-    grid = v.grid
     N = v.cutoff
     L = _fft_length(3 * N + 1)
     span = np.arange(-N, N + 1)
-    cols = span % L  # mode n sits in FFT column n % L
 
     def samples(f):
-        # transformed in place to theta samples
-        buf = np.zeros((3, grid.n_nodes, L), dtype=complex)
-        buf[:, :, cols] = f.values.transpose(1, 2, 0)
-        np.fft.ifft(buf, axis=-1, norm="forward", out=buf)
-        return buf, np.any(f.values != 0, axis=-1).T, np.max(f.exponents, axis=1)
+        # (3, M, L) real theta samples, and the nonzero masks and exponents of -N..N
+        return (np.fft.irfft(f.values.transpose(1, 2, 0), n=L, axis=-1, norm="forward"),
+                _both_signs(np.any(f.values != 0, axis=-1)).T,
+                _both_signs(np.max(f.exponents, axis=1)))
 
     bv, nz_v, ev = samples(v)
     bw, nz_w, ew = (bv, nz_v, ev) if w is v else samples(w)
     exps = np.full(4 * N + 1, -np.inf)  # max-plus convolution, index n + 2N
     np.maximum.at(exps, np.add.outer(span, span) + 2 * N, np.add.outer(ev, ew))
 
-    prod = np.empty((grid.n_nodes, L), dtype=complex)
-    out = np.empty((2 * N + 1, len(TENSOR_KEYS), grid.n_nodes), dtype=complex)
-    for i, key in enumerate(TENSOR_KEYS):
-        a, b = _COMP[key[0]], _COMP[key[1]]
-        reached = np.convolve(nz_v[a], nz_w[b])[N:3 * N + 1] > 0
-        np.multiply(bv[a], bw[b], out=prod)
-        np.fft.fft(prod, axis=-1, norm="forward", out=prod)
-        out[:, i] = prod.T[cols]
-        out[~reached, i] = 0.0
-    return out, exps[N:3 * N + 1]
+    a = [_COMP[key[0]] for key in TENSOR_KEYS]
+    b = [_COMP[key[1]] for key in TENSOR_KEYS]
+    out = np.fft.rfft(bv[a] * bw[b], axis=-1, norm="forward")[..., :N + 1].transpose(2, 0, 1)
+    reached = np.array([np.convolve(nz_v[i], nz_w[j])[2 * N:3 * N + 1] for i, j in zip(a, b)])
+    out[~(reached.T > 0)] = 0.0
+    return out, exps[2 * N:3 * N + 1]
 
 
 def convolution_physical_oracle(v: VelocityField, w: VelocityField, n: int, key: str):
-    """Independent check: multiply on a theta sample and re-project mode n."""
+    """Independent check: synthesize both fields from all modes -N..N on a
+    theta sample, multiply, and re-project mode n."""
     N = v.cutoff
     M = 4 * N + 1
     theta = 2.0 * np.pi * np.arange(M) / M
     synth = np.exp(1j * np.outer(theta, np.arange(-N, N + 1)))
-    prod = (synth @ v.values[:, _COMP[key[0]]]) * (synth @ w.values[:, _COMP[key[1]]])
+
+    def physical(f, a):
+        x = f.values[:, _COMP[a]]
+        return synth @ np.concatenate((np.conj(x[:0:-1]), x))
+
+    prod = physical(v, key[0]) * physical(w, key[1])
     return np.sum(prod * np.exp(-1j * n * theta)[:, None], axis=0) / M
 
 
@@ -300,19 +322,18 @@ def _mode_solves(n, forcing: ForcingSpec, quad, params, grid):
     `quad` is None or the `tensor_convolution` (product, exponents) pair
     of the iterate; its mode n row joins the divergence forcing.
     """
-    i = n + forcing.cutoff
     F = {key: forcing.profile(n, key) for key in TENSOR_KEYS}
     if quad is not None:
         prod, exps = quad
-        e = exps[i]
-        for key, row in zip(TENSOR_KEYS, prod[i]):
+        e = exps[n]
+        for key, row in zip(TENSOR_KEYS, prod[n]):
             tail = envelope_tail(grid, e, row) if np.isfinite(e) and np.any(row) else ZERO_TAIL
             F[key] = F[key] + ModeProfile(row, grid, tail).scaled(-1.0)
 
-    if np.any(forcing.g[i, :2]):
+    if np.any(forcing.g[n, :2]):
         yield (_HORIZONTAL, *hz.solve_mode(n, params, grid, pointwise=(
             forcing.profile(n, "r"), forcing.profile(n, "t"))))
-    if np.any(forcing.g[i, 2]):
+    if np.any(forcing.g[n, 2]):
         yield (_VERTICAL, *vt.solve_vertical_mode(n, params, grid,
                                                   pointwise=forcing.profile(n, "3")))
     blk = tuple(F[key] for key in ("rr", "rt", "tr", "tt"))
@@ -327,13 +348,14 @@ def apply_T(w: VelocityField, forcing: ForcingSpec, params: HamelParameters,
             grid: RadialGrid) -> VelocityField:
     """One linearized solve with forcing g + div(-w (x) w + F).
 
-    The forcing and w must be real: modes 0..N are solved and mode -n is
-    the conjugate of mode n.  A w that is not real raises ValueError; the
-    forcing is validated once, in `picard_iterate`.
+    Modes 0..N are solved; mode -n is the conjugate of mode n.  A w whose
+    mode-0 row is not real raises ValueError; the forcing is validated once,
+    in `picard_iterate`.
     """
-    defect = w.reality_defect()
+    defect = _mode0_imag(w.values)
     if defect > 1e-10:
-        raise ValueError(f"iterate violates the reality condition by {defect:.2e}")
+        raise ValueError(f"iterate violates the reality condition: mode 0 has a "
+                         f"relative imaginary part {defect:.2e}")
     N = forcing.cutoff
     if w.cutoff != N:
         raise ValueError("cutoff mismatch between iterate and forcing")
@@ -342,12 +364,9 @@ def apply_T(w: VelocityField, forcing: ForcingSpec, params: HamelParameters,
     result = VelocityField.zero(grid, N)
     for n in range(N + 1):
         for a, v, dv, env in _mode_solves(n, forcing, quad, params, grid):
-            result.values[N + n, a] += v
-            result.dvalues[N + n, a] += dv
-            np.maximum(result.exponents[N + n, a], env, out=result.exponents[N + n, a])
-    result.values[:N] = np.conj(result.values[:N:-1])
-    result.dvalues[:N] = np.conj(result.dvalues[:N:-1])
-    result.exponents[:N] = result.exponents[:N:-1]
+            result.values[n, a] += v
+            result.dvalues[n, a] += dv
+            np.maximum(result.exponents[n, a], env, out=result.exponents[n, a])
     return result
 
 
@@ -437,14 +456,13 @@ def compute_lambda(params: HamelParameters, c0: float) -> float:
 def with_background(fieldv: VelocityField, params: HamelParameters) -> VelocityField:
     """Field of the full flow u = V + v in modal form (background enters mode 0)."""
     r = fieldv.grid.r_nodes
-    N = fieldv.cutoff
     bg = np.array(velocity(params, r))
     out = VelocityField(fieldv.grid, fieldv.values.copy(), fieldv.dvalues.copy(),
                         fieldv.exponents.copy())
-    out.values[N] += bg
-    out.dvalues[N] += np.array(velocity_derivative(params, r))
+    out.values[0] += bg
+    out.dvalues[0] += np.array(velocity_derivative(params, r))
     # V_r = -gamma / r and V_theta = alpha / r decay like r^-1
-    out.exponents[N] = np.maximum(out.exponents[N], np.where(bg[:, -1] != 0, -1.0, -np.inf))
+    out.exponents[0] = np.maximum(out.exponents[0], np.where(bg[:, -1] != 0, -1.0, -np.inf))
     return out
 
 
@@ -456,25 +474,13 @@ class FlowAccessor:
         self.params = params
 
     def perturbation(self, r, theta):
-        """Polar components (v_r, v_t, v_3) of u - V at (r, theta), complex sum."""
-        N = self.field.cutoff
-        out = np.zeros(3, dtype=complex)
-        for n in range(-N, N + 1):
-            phase = np.exp(1j * n * theta)
-            for a in range(3):
-                out[a] += self.field.profile(n, a).at(r) * phase
-        return out
+        """Polar components (v_r, v_t, v_3) of u - V at (r, theta):
+        v_0 + 2 Re sum_{n>=1} v_n e^{in theta}."""
+        modes = range(self.field.cutoff + 1)
+        vals = np.array([[self.field.profile(n, a).at(r) for a in range(3)] for n in modes])
+        phases = _mode_weights(len(vals)) * np.exp(1j * theta * np.array(modes))
+        return np.real(phases @ vals)
 
     def velocity(self, r, theta):
         """Real 3-vector of the full flow in polar components."""
-        base = np.array(velocity(self.params, float(r)), dtype=float)
-        pert = self.perturbation(r, theta)
-        return base + np.real(pert)
-
-    def max_imag(self, radii, n_theta: int = 17) -> float:
-        """Largest imaginary part over physical samples, for reality checks."""
-        worst = 0.0
-        for r in radii:
-            for theta in np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False):
-                worst = max(worst, float(np.max(np.abs(np.imag(self.perturbation(r, theta))))))
-        return worst
+        return np.array(velocity(self.params, float(r)), dtype=float) + self.perturbation(r, theta)

@@ -1,4 +1,4 @@
-"""Radial mode profiles, power-law tails, and the weighted sup norm.
+"""Radial mode profiles and their power-law tails.
 
 A profile stores complex values at the grid nodes together with a tail
 model describing it beyond r_max; its mode and component are given by
@@ -16,10 +16,10 @@ kinds evaluate by call and share `scaled`, `+`, `moment`,
 `right_integral_scaled` and `slowest_exponent`.
 
 Profiles are solver inputs; the solvers return plain node arrays and a
-tail exponent per component, which `apply_T` adds into the
-`VelocityField` arrays, where the mode -n mirror of a real solution is
-also formed.  The l1-over-modes norms live on the field and forcing
-arrays (`nonlinear`).
+tail exponent per component, which `apply_T` adds into the rows of modes
+0..N of the `VelocityField` arrays (mode -n of a real solution is the
+conjugate of mode n and is not stored).  The weighted sup norms, l1 over
+modes, live on the field and forcing arrays (`nonlinear`).
 
 The tail-aware kernel wrappers at the end serve the per-mode solvers;
 `one_block` is their check that a solve gets exactly one block of data
@@ -236,21 +236,6 @@ class ModeProfile:
 
     def max_abs(self):
         return float(np.max(np.abs(self.values)))
-
-
-@dataclass(frozen=True)
-class WeightedNormReport:
-    sup_norm_weighted: float
-    achieving_radius: float
-
-
-def weighted_sup_norm(p: ModeProfile, s: float) -> WeightedNormReport:
-    """max over grid nodes of r^s |p(r)| and the radius achieving it."""
-    if p.values.size == 0:
-        raise ValueError("no data")
-    weighted = p.grid.r_nodes ** s * np.abs(p.values)
-    j = int(np.argmax(weighted))
-    return WeightedNormReport(float(weighted[j]), float(p.grid.r_nodes[j]))
 
 
 def integrate_weighted(p: ModeProfile, exponent: float, r_lo: float = 1.0,

@@ -192,19 +192,20 @@ def euler_residual(grid: RadialGrid, v, f, mu, gamma: float, dv=None) -> float:
 def structural_residuals(fieldv: VelocityField) -> dict:
     """Per-mode no-slip and divergence identities of a field.
 
-    Returns {"boundary_rel", "divergence_rel"}, (2N+1,) arrays indexed
-    n + N: the boundary residual sum_a |v_a(1)| over the mode's largest
-    |v_a|, and the divergence residual max |v_r + r v_r' + i n v_t| over
-    max(|v_r| + |r v_r'| + |n| |v_t|).  A zero mode reads 0.  For n != 0
+    Returns {"boundary_rel", "divergence_rel"}, (N+1,) arrays indexed by
+    the mode n = 0..N: the boundary residual sum_a |v_a(1)| over the mode's
+    largest |v_a|, and the divergence residual max |v_r + r v_r' + i n v_t|
+    over max(|v_r| + |r v_r'| + n |v_t|).  A zero mode reads 0.  For n != 0
     the no-slip condition of (v_r, v_t) is the moment identity
-    int_1^inf s^{1-|n|} omega_n ds = 0.  A standalone mode solve is checked
-    in its row of `VelocityField.zero(grid, |n|)`.
+    int_1^inf s^{1-n} omega_n ds = 0.  A standalone mode-n solve is checked
+    in row |n| of `VelocityField.zero(grid, |n|)`, as its conjugate if
+    n < 0 (both identities of mode -n are the conjugates of mode n's).
     """
-    n = np.arange(-fieldv.cutoff, fieldv.cutoff + 1)[:, None]
+    n = np.arange(fieldv.cutoff + 1)[:, None]
     mags = np.abs(fieldv.values)
     r_dv_r = fieldv.grid.r_nodes * fieldv.dvalues[:, 0]
     div = np.abs(fieldv.values[:, 0] + r_dv_r + 1j * n * fieldv.values[:, 1])
-    div_scale = mags[:, 0] + np.abs(r_dv_r) + np.abs(n) * mags[:, 1]
+    div_scale = mags[:, 0] + np.abs(r_dv_r) + n * mags[:, 1]
     return {"boundary_rel": _relative(np.sum(mags[:, :, 0], axis=1), np.max(mags, axis=(1, 2))),
             "divergence_rel": _relative(np.max(div, axis=1), np.max(div_scale, axis=1))}
 
@@ -278,11 +279,12 @@ def weak_ns_residual(fieldv: VelocityField, forcing: ForcingSpec,
                      params: HamelParameters, suite=None) -> dict:
     """Normalized weak-form mismatch of u = V + v against the test suite.
 
-    Returns {"residual": max normalized residual, "per_test": [...]}.
+    A test function of mode m pairs with mode -m of the flow and the force,
+    the conjugate of their stored mode m.  Returns {"residual": max
+    normalized residual, "per_test": [...]}.
     """
     grid = fieldv.grid
-    Nf = forcing.cutoff
-    if Nf != fieldv.cutoff:
+    if forcing.cutoff != fieldv.cutoff:
         raise ValueError("cutoff mismatch between field and forcing")
     if suite is None:
         suite = make_test_suite(grid)
@@ -294,7 +296,6 @@ def weak_ns_residual(fieldv: VelocityField, forcing: ForcingSpec,
 
     u = with_background(fieldv, params)
     uu, _ = tensor_convolution(u, u)
-    N = u.cutoff
     r = grid.r_nodes
 
     def rint(values):
@@ -304,11 +305,11 @@ def weak_ns_residual(fieldv: VelocityField, forcing: ForcingSpec,
     for tf in suite:
         (phi_r, phi_t, phi_3), gphi = tf.gradient_rows(grid)
         m = tf.m
-        t1 = sum(rint(gu * gp) for gu, gp in zip(u.gradients(N - m), gphi))
-        t2 = sum(rint(prod * gp) for prod, gp in zip(uu[N - m], gphi))
+        t1 = sum(rint(np.conj(gu) * gp) for gu, gp in zip(u.gradients(m), gphi))
+        t2 = sum(rint(np.conj(prod) * gp) for prod, gp in zip(uu[m], gphi))
 
-        t3 = sum(rint(f * phi) for f, phi in zip(forcing.g[Nf - m], (phi_r, phi_t, phi_3)))
-        t4 = sum(rint(f * gp) for f, gp in zip(forcing.F[Nf - m], gphi))
+        t3 = sum(rint(np.conj(f) * phi) for f, phi in zip(forcing.g[m], (phi_r, phi_t, phi_3)))
+        t4 = sum(rint(np.conj(f) * gp) for f, gp in zip(forcing.F[m], gphi))
         energy = sum(rint(np.abs(gphi[i]) ** 2) for i in range(6)).real
         mismatch = abs(t1 - t2 - t3 + t4)
         rows.append({"kind": tf.kind, "m": m,

@@ -113,12 +113,16 @@ def criterion_3():
     solves = []
     _roundtrip_errors(GRID64, params, collect=solves)
 
-    # add power-envelope, bump, and random solves through the full map
+    # add power-envelope, bump, and random solves through the full map; a
+    # mode -n solve takes the conjugates of the mode n slots
     for spec in (power_envelope_forcing(GRID64, params, 1e-3, {0: 1.0, 1: 1.0, 2: 0.5}),
                  bump_forcing(GRID64, params, 1e-3, {0: 1.0, 1: 1.0}),
                  random_forcing(GRID64, params, 1e-3, seed=5, n_modes=2)):
         for n in range(-spec.cutoff, spec.cutoff + 1):
-            p = {k: spec.profile(n, k) for k in ("r", "t", "3", *nl.TENSOR_KEYS)}
+            p = {k: spec.profile(abs(n), k) for k in ("r", "t", "3", *nl.TENSOR_KEYS)}
+            if n < 0:
+                p = {k: ModeProfile(np.conj(q.values), GRID64, q.tail.conjugate())
+                     for k, q in p.items()}
             blocks = ((("horizontal", n), {"pointwise": (p["r"], p["t"])}),
                       (("vertical", n), {"pointwise": p["3"]}),
                       (("horizontal", n),
@@ -130,10 +134,13 @@ def criterion_3():
 
     worst = {"boundary_rel": 0.0, "divergence_rel": 0.0, "moment": 0.0}
     for (kind, n), block, (v, dv, _) in solves:
-        # each solve in its row of a zero field; the moment by interpolation
-        i = abs(n) + n
-        fieldv = nl.VelocityField.zero(GRID64, abs(n))
+        # each solve in row |n| of a zero field, as its conjugate if n < 0;
+        # the moment by interpolation
+        i = abs(n)
+        fieldv = nl.VelocityField.zero(GRID64, i)
         comps = slice(0, 2) if kind == "horizontal" else 2
+        if n < 0:
+            v, dv = np.conj(v), np.conj(dv)
         fieldv.values[i, comps], fieldv.dvalues[i, comps] = v, dv
         for key, rel in vf.structural_residuals(fieldv).items():
             worst[key] = max(worst[key], float(rel[i]))
@@ -208,7 +215,7 @@ def criterion_4():
     # held to the bound only
     rho = 2.8
     sol = _power_envelope_solution(FAR_GRID, rho, rho)
-    v_t0 = np.abs(sol.values[sol.cutoff, 1])
+    v_t0 = np.abs(sol.values[0, 1])
     slope = vf.fit_decay((FAR_GRID.r_nodes, v_t0), FAR_WINDOW, FAR_GRID).slope
     ok = ok and abs(slope - guaranteed_rate(rho)) <= DECAY_TOL
     sharp.append(f"mode-0 v_t {slope:+.4f} vs {guaranteed_rate(rho):+.2f}")
@@ -307,19 +314,20 @@ def criterion_8():
         rng = np.random.default_rng(seed)
         fields = []
         for shift in (0, 1):
+            # a real field: modes 0..3, mode 0 real
             f = nl.VelocityField.zero(GRID64, 3)
-            for n in range(-3, 4):
+            for n in range(4):
                 for a in range(3):
-                    c = rng.normal() + 1j * rng.normal()
+                    c = rng.normal() + (1j * rng.normal() if n > 0 else 0.0)
                     ps = PowerSum.of((c, -2.0 - rng.uniform(0, 1)))
-                    f.values[n + 3, a] = ps(GRID64.r_nodes)
-                    f.exponents[n + 3, a] = ps.slowest_exponent()
+                    f.values[n, a] = ps(GRID64.r_nodes)
+                    f.exponents[n, a] = ps.slowest_exponent()
             fields.append(f)
         out, _ = nl.tensor_convolution(fields[0], fields[1])
-        for n in range(-3, 4):
+        for n in range(4):
             for i, key in enumerate(nl.TENSOR_KEYS):
                 oracle = nl.convolution_physical_oracle(fields[0], fields[1], n, key)
-                worst = max(worst, float(np.max(np.abs(out[n + 3, i] - oracle))))
+                worst = max(worst, float(np.max(np.abs(out[n, i] - oracle))))
     ok = worst <= 1e-10
     return ok, f"spectral vs physical-space convolution, 20 seeded trials: worst {worst:.2e}"
 

@@ -143,8 +143,9 @@ def test_converged_run_artifacts(tmp_path):
     assert len(r) == 24 * 8 + 2
     assert all(a >= 0 for a in amp)
 
-    profiles = sorted(os.listdir(out / "profiles"))
-    assert "mode_+0_vr.csv" in profiles and "mode_-1_v3.csv" in profiles
+    # modes 0..N only: mode -n is the conjugate of mode n
+    assert sorted(os.listdir(out / "profiles")) == [
+        f"mode_+{n}_{tag}.csv" for n in (0, 1) for tag in ("v3", "vr", "vt")]
     header = (out / "profiles" / "mode_+1_vt.csv").read_text().splitlines()[0]
     assert header == "r,re,im"
 
@@ -188,6 +189,17 @@ def test_main_entrypoint_config_error(capsys):
     assert cli.main(["--gamma", "1.0"]) == cli.EXIT_CONFIG
 
 
+def test_uncreatable_output_dir_exits_with_one_line(tmp_path, capsys):
+    # a directory under a regular file cannot be made: one error line, exit 1
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg, _ = run_cfg(tmp_path, output_dir=str(blocker / "out"))
+    assert cli.run(cfg) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_boundary_error_exit_with_summary(tmp_path, capsys):
     # the CLI defaults at r_max = 100 fail mode 1's moment identity (modes are
     # solved in 0..N order, so the error names mode 1, not its mirror -1)
@@ -202,9 +214,8 @@ def test_boundary_error_exit_with_summary(tmp_path, capsys):
 def _old_profile_writer(prof_dir, fieldv):
     """The line-by-line f-string writer the template writer replaced."""
     r = fieldv.grid.r_nodes
-    N = fieldv.cutoff
-    for n in range(-N, N + 1):
-        for tag, values in zip(("vr", "vt", "v3"), fieldv.values[n + N]):
+    for n in range(fieldv.cutoff + 1):
+        for tag, values in zip(("vr", "vt", "v3"), fieldv.values[n]):
             lines = ["r,re,im"]
             for j in range(len(r)):
                 lines.append(f"{r[j]:.17g},{values[j].real:.17g},{values[j].imag:.17g}")
@@ -217,7 +228,7 @@ def test_profile_writer_bytes_and_round_trip(tmp_path):
     m = grid.n_nodes
     special = np.array([0.0, -0.0, -1.5, 1e-300, -3e-300, 5e-324, 1.0 / 3.0, -2.0 ** 60])
     fieldv = VelocityField.zero(grid, 2)
-    for n in range(-2, 3):
+    for n in range(3):
         for k in range(3):
             re = rng.normal(size=m) * 10.0 ** rng.integers(-300, 300, size=m)
             im = rng.normal(size=m)
@@ -225,7 +236,7 @@ def test_profile_writer_bytes_and_round_trip(tmp_path):
             im[-special.size:] = special[::-1]
             if (n + k) % 4 == 0:
                 re, im = np.zeros(m), np.zeros(m)
-            fieldv.values[n + 2, k] = re + 1j * im
+            fieldv.values[n, k] = re + 1j * im
 
     new_dir, old_dir = tmp_path / "new", tmp_path / "old"
     cli._write_profiles(new_dir, fieldv)
@@ -233,11 +244,11 @@ def test_profile_writer_bytes_and_round_trip(tmp_path):
     _old_profile_writer(old_dir, fieldv)
     written = sorted(p.name for p in (new_dir / "profiles").iterdir())
     assert written == sorted(p.name for p in old_dir.iterdir())
-    assert len(written) == 15
+    assert len(written) == 9
     for name in written:
         assert (new_dir / "profiles" / name).read_bytes() == (old_dir / name).read_bytes()
 
-    for n, trip in enumerate(fieldv.values, start=-2):
+    for n, trip in enumerate(fieldv.values):
         for tag, values in zip(("vr", "vt", "v3"), trip):
             lines = (new_dir / "profiles" / f"mode_{n:+d}_{tag}.csv").read_text().splitlines()
             assert lines[0] == "r,re,im"

@@ -98,40 +98,38 @@ def test_structural_residuals_of_first_iterate(grid, family):
     res = vf.structural_residuals(_first_iterate(grid, family))
     assert set(res) == {"boundary_rel", "divergence_rel"}
     for rel in res.values():
-        assert rel.shape == (5,)
+        assert rel.shape == (3,)
         assert np.all(rel <= 1e-8)
 
 
 def test_boundary_residual_sees_a_boundary_defect(grid):
     fieldv = _first_iterate(grid, "power")
-    N = fieldv.cutoff
     before = vf.structural_residuals(fieldv)["boundary_rel"]
-    fieldv.values[N + 1, 0, 0] += 1e-6 * np.max(np.abs(fieldv.values[N + 1]))
+    fieldv.values[1, 0, 0] += 1e-6 * np.max(np.abs(fieldv.values[1]))
     after = vf.structural_residuals(fieldv)["boundary_rel"]
-    assert abs(after[N + 1] - 1e-6) < 1e-12
-    others = np.arange(2 * N + 1) != N + 1
+    assert abs(after[1] - 1e-6) < 1e-12
+    others = np.arange(fieldv.cutoff + 1) != 1
     assert np.array_equal(after[others], before[others])
 
 
 def test_divergence_residual_sees_a_derivative_defect(grid):
     fieldv = _first_iterate(grid, "power")
-    N = fieldv.cutoff
     before = vf.structural_residuals(fieldv)["divergence_rel"]
-    fieldv.dvalues[N + 1, 0] *= 1.0 + 1e-6
+    fieldv.dvalues[1, 0] *= 1.0 + 1e-6
     after = vf.structural_residuals(fieldv)["divergence_rel"]
-    assert before[N + 1] < 1e-12
-    assert after[N + 1] > 1e-8
-    others = np.arange(2 * N + 1) != N + 1
+    assert before[1] < 1e-12
+    assert after[1] > 1e-8
+    others = np.arange(fieldv.cutoff + 1) != 1
     assert np.array_equal(after[others], before[others])
 
 
 def test_structural_residuals_of_zero_modes_read_zero(grid):
     for rel in vf.structural_residuals(nl.VelocityField.zero(grid, 2)).values():
         assert np.all(rel == 0.0)
-    fieldv = _first_iterate(grid, "power")  # the forcing reaches modes -1..1 only
-    assert not fieldv.values[[0, 4]].any()
+    fieldv = _first_iterate(grid, "power")  # the forcing reaches modes 0 and 1 only
+    assert not fieldv.values[2].any()
     for rel in vf.structural_residuals(fieldv).values():
-        assert rel[0] == rel[4] == 0.0
+        assert rel[2] == 0.0
 
 
 # -- weak residual -----------------------------------------------------------------

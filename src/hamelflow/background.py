@@ -1,13 +1,14 @@
 """The swirling sink background flow and its admissible parameter range.
 
-The background is the scale-invariant pair
+The background velocity is the scale-invariant field
 
     V(x) = alpha * x_perp/|x|^2 - gamma * x/|x|^2   (lifted to 3D, V_3 = 0)
-    Q(x) = -|V(x)|^2 / 2
 
-so in polar components V_r = -gamma/r, V_theta = alpha/r.  Its transport
-is what lifts the exterior problem past the Stokes paradox, which is why
-gamma > 2 is a hard gate for every solve in this package.
+so in polar components V_r = -gamma/r, V_theta = alpha/r; it is
+irrotational, and its pressure -|V|^2 / 2 never enters the per-mode
+solves, so it is not computed.  Its transport is what lifts the exterior
+problem past the Stokes paradox, which is why gamma > 2 is a hard gate
+for every solve in this package.
 """
 
 from __future__ import annotations
@@ -63,20 +64,3 @@ def velocity_derivative(params: HamelParameters, r):
     """Radial derivatives (dV_r, dV_theta, dV_3)."""
     r = _check_domain(r)
     return params.gamma / r ** 2, -params.alpha / r ** 2, np.zeros_like(r)
-
-
-def pressure(params: HamelParameters, r):
-    """Background pressure -(alpha^2 + gamma^2) / (2 r^2)."""
-    r = _check_domain(r)
-    return -(params.alpha ** 2 + params.gamma ** 2) / (2.0 * r ** 2)
-
-
-def boundary_data(params: HamelParameters):
-    """Polar components of the prescribed velocity on the unit circle."""
-    return (-params.gamma, params.alpha, 0.0)
-
-
-def flux(params: HamelParameters, r):
-    """Line integral of V . e_r over the circle of radius r; radius-independent."""
-    _check_domain(r)
-    return -2.0 * np.pi * params.gamma

@@ -5,12 +5,13 @@ Artifacts per run: the radial profiles of the modes n = 0..N as CSV
 summary, and plot-ready decay data for |u - V|.  Identical config and seed
 produce byte-identical summaries.
 
-Exit codes: 0 success, 2 invalid configuration, 3 the fixed-point
-iteration left the contraction regime or hit its step limit (diagnostics
-are still written), 4 a mode solve failed its boundary or moment identity
-(`BoundaryError`; the summary records the error), 1 unexpected I/O
-failure (a config file that cannot be read, or an output directory that
-cannot be created, exits 1 with a one-line message).
+Exit codes: 0 success, 2 invalid configuration (among others a
+non-finite number or max_iter < 1), 3 the fixed-point iteration left the
+contraction regime or hit its step limit (diagnostics are still written),
+4 a mode solve failed its boundary or moment identity (`BoundaryError`;
+the summary records the error), 1 unexpected I/O failure (a config file
+that cannot be read, or an output directory that cannot be created, exits
+1 with a one-line message).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import logging
 import numbers
 import sys
 from dataclasses import dataclass, field
@@ -78,6 +78,8 @@ class RunConfig:
             value = getattr(self, f.name)
             if not isinstance(value, _FIELD_TYPES[f.type]):
                 raise AdmissibilityError(f"{f.name}={value!r} must be of type {f.type}")
+            if f.type == "float" and not np.isfinite(value):
+                raise AdmissibilityError(f"{f.name}={value!r} must be finite")
         try:
             params = HamelParameters(self.alpha, self.gamma, self.rho)
         except AdmissibilityError as exc:
@@ -85,6 +87,8 @@ class RunConfig:
                 f"parameters outside Theorem hypotheses: {exc}") from exc
         if self.mode_cutoff < 0:
             raise AdmissibilityError(f"mode_cutoff={self.mode_cutoff} must be >= 0")
+        if self.max_iter < 1:
+            raise AdmissibilityError(f"max_iter={self.max_iter} must be >= 1")
         if self.tol <= 0:
             raise AdmissibilityError(f"tol={self.tol} must be positive")
         if self.family not in FAMILIES:
@@ -102,6 +106,8 @@ def _coerce_coefficients(raw) -> dict:
         coefficients = {int(k): complex(v) for k, v in raw.items()}
     except (TypeError, ValueError) as exc:
         raise malformed from exc
+    if not all(np.isfinite(v) for v in coefficients.values()):
+        raise AdmissibilityError(f"coefficients={raw!r} must be finite")
     return {k: v.real if v.imag == 0 else v for k, v in coefficients.items()}
 
 
@@ -260,7 +266,6 @@ def _dump_summary(out_dir: Path, summary: dict):
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     try:
         config = parse_config(argv)
     except (AdmissibilityError, ValueError) as exc:

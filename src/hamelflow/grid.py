@@ -123,6 +123,8 @@ class RadialGrid:
     def build(panels: int = 64, gauss_order: int = 8, r_max: float = 1.0e3) -> "RadialGrid":
         if panels < 1 or gauss_order < 2:
             raise ValueError("need at least one panel and two Gauss nodes")
+        if not np.isfinite(r_max):
+            raise ValueError(f"r_max={r_max} must be finite")
         if r_max <= 1.0:
             raise ValueError("r_max must exceed 1")
         edges = r_max ** (np.arange(panels + 1) / panels)
@@ -156,10 +158,6 @@ class RadialGrid:
         grid._tables.update(grid._precompute(xi, wq, log_step))
         return grid
 
-    def refined(self, factor: int = 2) -> "RadialGrid":
-        """Same interval and rule order, `factor` times as many panels."""
-        return RadialGrid.build(self.panels * factor, self.gauss_order, self.r_max)
-
     def _precompute(self, xi, wq, log_step):
         G = self.gauss_order
         bw = _barycentric_weights(xi)
@@ -176,7 +174,7 @@ class RadialGrid:
         SR = np.stack([_lagrange_matrix(xi, bw, subr_nodes[i]) for i in range(G)])
 
         return {
-            "xi": xi, "wq": wq, "bary": bw,
+            "xi": xi, "bary": bw,
             "log_step": log_step,
             "log_edges": np.log(self.edges),
             # per slot: log(node / left edge) and weight / left edge
@@ -211,26 +209,6 @@ class RadialGrid:
         """Integral over [1, r_max] of node data."""
         h = self.gauss_values(values)
         return complex(np.sum(self.weights_gauss * h))
-
-    def integrate_clipped(self, fn, r_lo: float, r_hi: float) -> complex:
-        """Integrate a callable over [r_lo, r_hi] subset of [1, r_max].
-
-        Panels are clipped to the interval and the same Gauss rule is
-        mapped onto each clipped piece, so power-law integrands keep the
-        full order of the rule.
-        """
-        if not (1.0 <= r_lo <= r_hi <= self.r_max):
-            raise ValueError("interval outside [1, r_max]")
-        xi, wq = self._tables["xi"], self._tables["wq"]
-        total = 0.0 + 0.0j
-        for k in range(self.panels):
-            a = max(self.edges[k], r_lo)
-            b = min(self.edges[k + 1], r_hi)
-            if b <= a:
-                continue
-            pts = a + (b - a) * xi
-            total += (b - a) * np.sum(wq * np.asarray(fn(pts)))
-        return complex(total)
 
     # -- scaled cumulative kernels -----------------------------------------
 

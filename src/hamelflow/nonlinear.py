@@ -216,13 +216,18 @@ class ForcingSpec:
                 _l1(_mode_sup(self.F.transpose(1, 0, 2), r ** (2.0 * (rho - 1.0)))))
 
     def validate(self, params: HamelParameters):
-        """Envelope-class and mode-0 reality checks for the fixed-point
-        pipeline."""
+        """Finiteness, envelope-class and mode-0 reality checks for the
+        fixed-point pipeline."""
         for kind, rows, exps, keys, bound, label in (
                 ("pointwise", self.g, self.g_exponents, "rt3",
                  -(2.0 * params.rho - 1.0), "-(2*rho-1)"),
                 ("divergence", self.F, self.F_exponents, TENSOR_KEYS,
                  -2.0 * (params.rho - 1.0), "-2*(rho-1)")):
+            bad = np.argwhere(~np.all(np.isfinite(rows), axis=-1))
+            if len(bad):
+                i, a = bad[0]
+                raise AdmissibilityError(
+                    f"{kind} forcing has a non-finite value at mode {i} ({keys[a]})")
             # a slot whose r_max value is zero has no tail (`profile`)
             bad = np.argwhere((rows[..., -1] != 0) & (exps > bound + 1e-9))
             if len(bad):
@@ -292,22 +297,6 @@ def tensor_convolution(v: VelocityField, w: VelocityField):
     reached = np.array([np.convolve(nz_v[i], nz_w[j])[2 * N:3 * N + 1] for i, j in zip(a, b)])
     out[~(reached.T > 0)] = 0.0
     return out, exps[2 * N:3 * N + 1]
-
-
-def convolution_physical_oracle(v: VelocityField, w: VelocityField, n: int, key: str):
-    """Independent check: synthesize both fields from all modes -N..N on a
-    theta sample, multiply, and re-project mode n."""
-    N = v.cutoff
-    M = 4 * N + 1
-    theta = 2.0 * np.pi * np.arange(M) / M
-    synth = np.exp(1j * np.outer(theta, np.arange(-N, N + 1)))
-
-    def physical(f, a):
-        x = f.values[:, _COMP[a]]
-        return synth @ np.concatenate((np.conj(x[:0:-1]), x))
-
-    prod = physical(v, key[0]) * physical(w, key[1])
-    return np.sum(prod * np.exp(-1j * n * theta)[:, None], axis=0) / M
 
 
 # ---------------------------------------------------------------------------

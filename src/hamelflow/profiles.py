@@ -19,7 +19,9 @@ Profiles are solver inputs; the solvers return plain node arrays and a
 tail exponent per component, which `apply_T` adds into the rows of modes
 0..N of the `VelocityField` arrays (mode -n of a real solution is the
 conjugate of mode n and is not stored).  The weighted sup norms, l1 over
-modes, live on the field and forcing arrays (`nonlinear`).
+modes, live on the field and forcing arrays (`nonlinear`); the
+independent weighted-moment quadrature of a profile is an oracle
+(`verification.integrate_weighted`).
 
 The tail-aware kernel wrappers at the end serve the per-mode solvers;
 `one_block` is their check that a solve gets exactly one block of data
@@ -59,15 +61,12 @@ class PowerSum:
                 merged[key] = complex(coef)
             else:
                 merged[hit] += complex(coef)
-        self.terms = tuple((c, e) for e, c in merged.items() if abs(c) > 0.0)
+        # c != 0 keeps a NaN coefficient, so non-finite data is not a silent zero
+        self.terms = tuple((c, e) for e, c in merged.items() if c != 0)
 
     @staticmethod
     def of(*terms):
         return PowerSum(terms)
-
-    @staticmethod
-    def zero():
-        return PowerSum(())
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -89,9 +88,6 @@ class PowerSum:
         if not isinstance(other, PowerSum):
             return NotImplemented
         return PowerSum(self.terms + other.terms)
-
-    def conjugate(self):
-        return PowerSum([(np.conj(c), np.conj(e)) for c, e in self.terms])
 
     def slowest_exponent(self):
         if not self.terms:
@@ -137,7 +133,7 @@ class PowerSum:
         return out
 
 
-ZERO_TAIL = PowerSum.zero()
+ZERO_TAIL = PowerSum(())
 
 
 @dataclass(frozen=True)
@@ -206,10 +202,6 @@ class ModeProfile:
         return ModeProfile(ps(grid.r_nodes), grid, ps)
 
     @staticmethod
-    def from_callable(fn, grid: RadialGrid, tail=ZERO_TAIL):
-        return ModeProfile(np.asarray(fn(grid.r_nodes), dtype=complex), grid, tail)
-
-    @staticmethod
     def zeros(grid: RadialGrid):
         return ModeProfile(np.zeros(grid.n_nodes, dtype=complex), grid, ZERO_TAIL)
 
@@ -233,25 +225,6 @@ class ModeProfile:
         if other.grid is not self.grid:
             raise ValueError("profiles live on different grids")
         return ModeProfile(self.values + other.values, self.grid, self.tail + other.tail)
-
-    def max_abs(self):
-        return float(np.max(np.abs(self.values)))
-
-
-def integrate_weighted(p: ModeProfile, exponent: float, r_lo: float = 1.0,
-                       r_hi: float = np.inf) -> complex:
-    """int_{r_lo}^{r_hi} s^exponent p(s) ds with an analytic power-law tail."""
-    grid = p.grid
-    fn = lambda s: grid.interpolate(p.values, s) * s ** exponent
-    if np.isinf(r_hi):
-        env = p.tail.slowest_exponent()
-        if exponent + env >= -1.0:
-            raise TailError(
-                f"non-integrable tail: exponent {exponent} + envelope {env} >= -1"
-            )
-        return complex(grid.integrate_clipped(fn, r_lo, grid.r_max)
-                       + p.tail.moment(exponent, grid.r_max))
-    return grid.integrate_clipped(fn, r_lo, r_hi)
 
 
 # -- tail-aware kernel wrappers used by the per-mode solvers ---------------

@@ -4,9 +4,10 @@ Everything here deliberately avoids the Green's-function solve paths:
 manufactured forcings come from symbolic application of the mode ODEs to
 power-law targets, decay rates from a log-log fit, equation residuals
 from per-panel spectral differentiation, the no-slip and divergence
-identities from a field's value and derivative arrays, and the weak-form
-residual from direct quadrature against compactly supported test
-functions.
+identities from a field's value and derivative arrays, weighted moments
+from Gauss quadrature of the panel interpolant, the spectral product from
+physical-space multiplication, and the weak-form residual from direct
+quadrature against compactly supported test functions.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .background import HamelParameters
+from .errors import TailError
 from .forcing import bump_profile
 from .grid import RadialGrid
 from .nonlinear import ForcingSpec, VelocityField, tensor_convolution, with_background
-from .profiles import ModeProfile, PowerSum
+from .profiles import ZERO_TAIL, ModeProfile, PowerSum
 from .spectral import compute_coefficients
 
 _BC_TOL = 1e-10
@@ -103,7 +106,7 @@ def manufacture_forcing(targets: dict, params: HamelParameters, grid: RadialGrid
             f = manufacture_euler(target, 1.0 - params.gamma, params)
             forcing_modes[(kind, n)] = (ModeProfile.zeros(grid),
                                         ModeProfile.from_powersum(f, grid))
-            expected[(kind, n)] = (PowerSum.zero(), target)
+            expected[(kind, n)] = (ZERO_TAIL, target)
         elif kind == "horizontal":
             f_t, v_r, v_t = manufacture_horizontal_stream(target, n, params)
             forcing_modes[(kind, n)] = (ModeProfile.zeros(grid),
@@ -112,6 +115,57 @@ def manufacture_forcing(targets: dict, params: HamelParameters, grid: RadialGrid
         else:
             raise ValueError(f"unknown target kind {kind!r}")
     return forcing_modes, expected
+
+
+# ---------------------------------------------------------------------------
+# quadrature and product oracles
+
+
+def integrate_weighted(p: ModeProfile, exponent: float, r_lo: float = 1.0,
+                       r_hi: float = np.inf) -> complex:
+    """int_{r_lo}^{r_hi} s^exponent p(s) ds, the part beyond r_max from the
+    tail in closed form.
+
+    Inside [1, r_max] the panel interpolant of p is integrated by the
+    G-point Gauss rule mapped onto each panel clipped to the interval, so
+    power-law integrands keep the full order of the rule; none of the
+    solvers' cumulative kernels enters.
+    """
+    grid = p.grid
+    if np.isinf(r_hi):
+        env = p.tail.slowest_exponent()
+        if exponent + env >= -1.0:
+            raise TailError(
+                f"non-integrable tail: exponent {exponent} + envelope {env} >= -1")
+        return (integrate_weighted(p, exponent, r_lo, grid.r_max)
+                + complex(p.tail.moment(exponent, grid.r_max)))
+    if not (1.0 <= r_lo <= r_hi <= grid.r_max):
+        raise ValueError("interval outside [1, r_max]")
+    x, w = leggauss(grid.gauss_order)
+    xi, wq = 0.5 * (x + 1.0), 0.5 * w
+    total = 0.0 + 0.0j
+    for a, b in zip(grid.edges[:-1], grid.edges[1:]):
+        a, b = max(a, r_lo), min(b, r_hi)
+        if b > a:
+            s = a + (b - a) * xi
+            total += (b - a) * np.sum(wq * (grid.interpolate(p.values, s) * s ** exponent))
+    return complex(total)
+
+
+def convolution_physical_oracle(v: VelocityField, w: VelocityField, n: int, key: str):
+    """Mode n of the `key` slot of v (x) w: both fields synthesized from all
+    modes -N..N on 4N+1 angle samples, multiplied, and mode n re-projected."""
+    N = v.cutoff
+    M = 4 * N + 1
+    theta = 2.0 * np.pi * np.arange(M) / M
+    synth = np.exp(1j * np.outer(theta, np.arange(-N, N + 1)))
+
+    def physical(f, a):
+        x = f.values[:, "rt3".index(a)]
+        return synth @ np.concatenate((np.conj(x[:0:-1]), x))
+
+    prod = physical(v, key[0]) * physical(w, key[1])
+    return np.sum(prod * np.exp(-1j * n * theta)[:, None], axis=0) / M
 
 
 # ---------------------------------------------------------------------------

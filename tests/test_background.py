@@ -26,20 +26,6 @@ def test_scale_invariance(grid):
     assert np.allclose(grid.r_nodes * v_t, p.alpha, rtol=1e-14)
 
 
-@pytest.mark.parametrize("alpha,gamma,r,expected", [
-    (0.0, 2.5, 1.0, -3.125),
-    (1.0, 3.0, 10.0, -0.05),
-])
-def test_pressure_values(alpha, gamma, r, expected):
-    p = HamelParameters(alpha, gamma, 2.3)
-    assert abs(bg.pressure(p, r) - expected) < 1e-14
-
-
-def test_pressure_vanishes_at_infinity():
-    p = HamelParameters(1.0, 3.0, 2.5)
-    assert abs(bg.pressure(p, 1e9)) < 1e-17
-
-
 def test_irrotational(grid):
     # numeric curl of the angular part: (1/r) d(r V_theta)/dr
     p = HamelParameters(2.0, 3.0, 2.5)
@@ -48,28 +34,12 @@ def test_irrotational(grid):
     assert np.max(np.abs(curl)) < 1e-12
 
 
-def test_flux_radius_independent():
-    p = HamelParameters(1.0, 2.6, 2.3)
-    for r in (1.0, 3.0, 100.0):
-        # line integral of V . e_r over the circle of radius r
-        assert abs(2 * np.pi * r * bg.velocity(p, r)[0] - bg.flux(p, r)) < 1e-12
-    assert abs(bg.flux(p, 5.0) + 2 * np.pi * p.gamma) < 1e-14
-
-
-def test_boundary_data_matches_velocity_at_one():
-    p = HamelParameters(1.5, 3.5, 2.5)
-    b = bg.boundary_data(p)
-    v = bg.velocity(p, 1.0)
-    assert np.allclose(b, v)
-    assert b == (-3.5, 1.5, 0.0)
-
-
 def test_domain_error_below_one():
     p = HamelParameters(0.0, 3.0, 2.5)
     with pytest.raises(ValueError, match="exterior domain"):
         bg.velocity(p, 0.9)
     with pytest.raises(ValueError, match="exterior domain"):
-        bg.pressure(p, 0.5)
+        bg.velocity_derivative(p, 0.5)
 
 
 @pytest.mark.parametrize("alpha,gamma,rho,fragment", [

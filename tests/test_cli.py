@@ -68,13 +68,16 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     ({"coefficients": {"1": [1]}}, "coefficients={'1': [1]} must map modes to numbers"),
     ([1], "must hold a JSON object"),
     ({"forcing": [1]}, "forcing=[1] must be a JSON object"),
+    ({"forcing": {"family": "power", "f_exponent": float("nan")}},
+     "divergence forcing has a non-finite value at mode 0 (rr)"),
 ], ids=["bump-n_modes", "power-foo", "mode_cutoff-str", "power-truncated",
         "random-n_modes-negative", "coefficients-list", "coefficient-list",
-        "top-level-list", "forcing-list"])
+        "top-level-list", "forcing-list", "power-f_exponent-nan"])
 def test_bad_config_file_exits_2(tmp_path, capsys, config, fragment):
     # a family option the family does not take, a value of the wrong type,
-    # a malformed coefficient map, and a forcing that the mode cutoff would
-    # truncate to nothing, and a config or forcing block that is no JSON object
+    # a malformed coefficient map, a forcing that the mode cutoff would
+    # truncate to nothing, a config or forcing block that is no JSON object,
+    # and a family option that makes the forcing non-finite
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -101,6 +104,30 @@ def test_malformed_coefficients_flag_exits_2(tmp_path, capsys, flag):
     argv = ["--coefficients", flag, "--output-dir", str(out)]
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert "must map modes to numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["--epsilon", "nan"], "epsilon=nan must be finite"),
+    (["--coefficients", '{"0": NaN}'], "coefficients={'0': nan} must be finite"),
+    (["--coefficients", '{"1": -Infinity}'], "coefficients={'1': -inf} must be finite"),
+    (["--r-max", "inf"], "r_max=inf must be finite"),
+    (["--r-max", "nan"], "r_max=nan must be finite"),
+    (["--alpha", "nan"], "alpha=nan must be finite"),
+    (["--alpha", "inf"], "alpha=inf must be finite"),
+    (["--gamma", "inf"], "gamma=inf must be finite"),
+    (["--tol", "nan"], "tol=nan must be finite"),
+    (["--max-iter", "0"], "max_iter=0 must be >= 1"),
+    (["--max-iter", "-3"], "max_iter=-3 must be >= 1"),
+])
+def test_non_finite_value_or_no_step_exits_2(tmp_path, capsys, argv, fragment):
+    # rejected before any solve: not a zero "converged" field, an assert
+    # traceback from the grid, NaN Picard steps or "did not reach tol in 0 steps"
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--output-dir", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

@@ -3,6 +3,8 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from hamelflow.grid import RadialGrid, _barycentric_weights, _lagrange_matrix
+from hamelflow.profiles import ModeProfile
+from hamelflow.verification import integrate_weighted
 
 
 def test_node_layout(grid):
@@ -17,12 +19,6 @@ def test_weights_positive_and_sum_to_panel_length(grid):
     assert np.all(grid.weights_gauss > 0)
     widths = np.diff(grid.edges)
     assert np.allclose(grid.weights_gauss.sum(axis=1), widths, rtol=1e-14)
-
-
-def test_refined_doubles_panels(grid):
-    fine = grid.refined()
-    assert fine.panels == 2 * grid.panels
-    assert fine.r_max == grid.r_max
 
 
 @pytest.mark.parametrize("expo", [-2.0, -3.5, -1.2])
@@ -191,7 +187,9 @@ def test_self_similar_kernels_match_dense(panels, r_max):
 
 
 def test_integrate_clipped_polynomial_exact(grid):
-    val = grid.integrate_clipped(lambda s: s ** 3, 2.0, 5.0)
+    # the moment oracle clips the panels to [2, 5] and keeps the rule's order
+    p = ModeProfile(grid.r_nodes ** 3, grid)
+    val = integrate_weighted(p, 0.0, r_lo=2.0, r_hi=5.0)
     assert abs(val - (5.0 ** 4 - 2.0 ** 4) / 4.0) < 1e-11
 
 
@@ -210,3 +208,10 @@ def test_derivative_accuracy(grid):
 def test_interpolate_rejects_outside(grid):
     with pytest.raises(ValueError):
         grid.interpolate(grid.r_nodes ** -2.0, 0.5)
+
+
+@pytest.mark.parametrize("r_max", [np.inf, np.nan])
+def test_build_rejects_non_finite_r_max(r_max):
+    # a ValueError before the geometric-edge invariant is checked
+    with pytest.raises(ValueError, match="must be finite"):
+        RadialGrid.build(8, 4, r_max)

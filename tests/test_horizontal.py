@@ -99,7 +99,7 @@ def test_vorticity_closed_form(grid):
 def test_vorticity_zero_forcing(grid):
     omega, c_n, _ = hz.compute_vorticity_mode(
         2, PARAMS, grid, divergence=tuple(zeros(grid) for _ in range(4)))
-    assert omega.max_abs() == 0.0
+    assert not np.any(omega.values)
     assert c_n == 0.0
 
 
@@ -177,7 +177,7 @@ def test_reconstruction_satisfies_curl_and_divergence(grid):
     omega, _, _ = hz.compute_vorticity_mode(n, PARAMS, grid, divergence=blk)
     r = grid.r_nodes
     curl = (v_t + r * dv_t - 1j * n * v_r) / r
-    assert np.max(np.abs(curl - omega.values)) < 1e-9 * omega.max_abs()
+    assert np.max(np.abs(curl - omega.values)) < 1e-9 * np.max(np.abs(omega.values))
     fieldv = VelocityField.zero(grid, n)
     fieldv.values[n, :2] = v_r, v_t
     fieldv.dvalues[n, :2] = dv_r, dv_t
@@ -216,7 +216,8 @@ def test_conjugation_symmetry(grid):
     params = HamelParameters(1.3, 4.0, 2.5)
     f_t, _, _ = manufacture_horizontal_stream(_stream_mu(), n, params)
     pw_p = (zeros(grid), ModeProfile.from_powersum(f_t, grid))
-    pw_m = (zeros(grid), ModeProfile.from_powersum(f_t.conjugate(), grid))
+    f_t_conj = PowerSum([(np.conj(c), np.conj(e)) for c, e in f_t.terms])
+    pw_m = (zeros(grid), ModeProfile.from_powersum(f_t_conj, grid))
     v_p, _, _ = hz.solve_mode(n, params, grid, pointwise=pw_p)
     v_m, _, _ = hz.solve_mode(-n, params, grid, pointwise=pw_m)
     assert np.max(np.abs(v_m[0] - np.conj(v_p[0]))) < 1e-14

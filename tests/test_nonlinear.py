@@ -5,6 +5,7 @@ import pytest
 
 from hamelflow import horizontal as hz
 from hamelflow import nonlinear as nl
+from hamelflow import verification as vf
 from hamelflow import vertical as vt
 from hamelflow.background import HamelParameters
 from hamelflow.errors import AdmissibilityError, ContractionError, IterationError
@@ -49,7 +50,8 @@ def full_spectrum(f):
 
 def conj_profile(p):
     """Mode -n of a real forcing slot from its mode n profile."""
-    return ModeProfile(np.conj(p.values), p.grid, p.tail.conjugate())
+    tail = PowerSum([(np.conj(c), np.conj(e)) for c, e in p.tail.terms])
+    return ModeProfile(np.conj(p.values), p.grid, tail)
 
 
 def signed_profile(forcing, n, key):
@@ -158,11 +160,12 @@ def forcing_verdict_loop(spec, params):
     for bound, comps in ((-(2.0 * params.rho - 1.0), g_modes.values()),
                          (-2.0 * (params.rho - 1.0), (d.values() for d in F_modes.values()))):
         for p in (p for trip in comps for p in trip):
-            if p.max_abs() > 0 and p.tail.slowest_exponent() > bound + 1e-9:
+            if np.any(p.values) and p.tail.slowest_exponent() > bound + 1e-9:
                 return "envelope"
     mode_0 = (*g_modes[0], *F_modes[0].values())
-    scale = max(p.max_abs() for trip in g_modes.values() for p in trip)
-    scale = max(scale, max(p.max_abs() for d in F_modes.values() for p in d.values()))
+    slots = [p for trip in g_modes.values() for p in trip]
+    slots += [p for d in F_modes.values() for p in d.values()]
+    scale = max(np.max(np.abs(p.values)) for p in slots)
     imag = max(float(np.max(np.abs(p.values.imag))) for p in mode_0)
     return "reality" if imag > 1e-10 * scale else None
 
@@ -196,7 +199,7 @@ def test_convolution_against_physical_multiplication(grid, seed):
     prod, _ = nl.tensor_convolution(v, w)
     for n in (0, 2, 3):
         for key in ("rr", "t3", "tr"):
-            oracle = nl.convolution_physical_oracle(v, w, n, key)
+            oracle = vf.convolution_physical_oracle(v, w, n, key)
             assert np.max(np.abs(prod[n, nl.TENSOR_KEYS.index(key)] - oracle)) < 1e-10
 
 
@@ -312,6 +315,17 @@ def test_picard_zero_forcing(grid):
     assert diag.converged and diag.iterations == 1
     assert np.max(np.abs(sol.values)) == 0.0
     assert diag.iterate_norms == [0.0]
+
+
+@pytest.mark.parametrize("epsilon,coefficients", [
+    (float("nan"), {0: 1, 1: 1}),
+    (1e-3, {0: 1.0, 1: float("inf")}),
+])
+def test_picard_rejects_non_finite_forcing(grid, epsilon, coefficients):
+    # a NaN coefficient is kept, not dropped into a zero forcing that "converges"
+    forcing = power_envelope_forcing(grid, PARAMS, epsilon, coefficients)
+    with pytest.raises(AdmissibilityError, match="non-finite value"):
+        nl.picard_iterate(forcing, PARAMS, grid)
 
 
 def test_picard_small_data(grid):

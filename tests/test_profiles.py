@@ -4,15 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamelflow.errors import TailError
-from hamelflow.profiles import (
-    ZERO_TAIL,
-    EnvelopeTail,
-    ModeProfile,
-    PowerSum,
-    envelope_tail,
-    integrate_weighted,
-)
 from hamelflow.nonlinear import ForcingSpec
+from hamelflow.profiles import ZERO_TAIL, EnvelopeTail, ModeProfile, PowerSum, envelope_tail
+from hamelflow.verification import integrate_weighted
 
 
 def profile_from_power(grid, expo, coef=1.0):

@@ -8,7 +8,7 @@ from hamelflow import verification as vf
 from hamelflow.background import HamelParameters
 from hamelflow.forcing import build_family, bump_forcing, power_envelope_forcing
 from hamelflow.grid import RadialGrid
-from hamelflow.profiles import PowerSum
+from hamelflow.profiles import ZERO_TAIL, PowerSum
 
 PARAMS = HamelParameters(alpha=1.0, gamma=4.0, rho=2.5)
 
@@ -53,7 +53,7 @@ def test_fit_zero_magnitude_rejected(grid):
 # -- manufactured forcing ---------------------------------------------------------
 
 def test_manufacture_zero_target():
-    f = vf.manufacture_euler(PowerSum.zero(), 1.0 + 1.0j, PARAMS)
+    f = vf.manufacture_euler(ZERO_TAIL, 1.0 + 1.0j, PARAMS)
     assert f.terms == ()
 
 

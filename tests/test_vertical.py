@@ -60,7 +60,7 @@ def test_axisymmetric_divergence_ignores_angular_envelope(grid):
 def test_axisymmetric_divergence_history_only_support(grid):
     # compactly supported F_r3: the solution vanishes identically below the support
     fn, (a, b) = bump_profile(grid, (2.0, 4.0))
-    f_r3 = ModeProfile.from_callable(fn, grid)
+    f_r3 = ModeProfile(fn(grid.r_nodes), grid)
     v, _, _ = vt.solve_vertical_mode(0, PARAMS, grid, divergence=(f_r3, ModeProfile.zeros(grid)))
     below = grid.r_nodes < a
     assert np.max(np.abs(v[below])) == 0.0
@@ -103,8 +103,8 @@ def test_divergence_vs_pointwise_consistency(grid):
     n = 2
     params = HamelParameters(1.0, 4.0, 2.5)
     fn, dfn, _, (a, b) = bump_profile(grid, (2.0, 4.0), derivatives=True)
-    f_r3 = ModeProfile.from_callable(fn, grid)
-    f_t3 = ModeProfile.from_callable(lambda r: 0.5 * fn(r), grid)
+    f_r3 = ModeProfile(fn(grid.r_nodes), grid)
+    f_t3 = ModeProfile(0.5 * fn(grid.r_nodes), grid)
     v_div, _, _ = vt.solve_vertical_mode(n, params, grid, divergence=(f_r3, f_t3))
     r = grid.r_nodes
     pw = fn(r) / r + dfn(r) + 1j * n * 0.5 * fn(r) / r

@@ -78,7 +78,13 @@ class RunConfig:
             value = getattr(self, f.name)
             if not isinstance(value, _FIELD_TYPES[f.type]):
                 raise AdmissibilityError(f"{f.name}={value!r} must be of type {f.type}")
-            if f.type == "float" and not np.isfinite(value):
+            if f.type != "float":
+                continue
+            try:  # the converted value is not stored: summaries keep an integer's bytes
+                finite = np.isfinite(float(value))
+            except OverflowError as exc:
+                raise AdmissibilityError(f"{f.name} is too large for a float") from exc
+            if not finite:
                 raise AdmissibilityError(f"{f.name}={value!r} must be finite")
         try:
             params = HamelParameters(self.alpha, self.gamma, self.rho)

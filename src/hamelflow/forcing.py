@@ -76,21 +76,17 @@ def power_envelope_forcing(grid: RadialGrid, params: HamelParameters, epsilon: f
     return spec
 
 
-def bump_profile(grid: RadialGrid, support=(2.0, 4.0), snap: bool = True,
-                 derivatives: bool = False):
+def bump_profile(grid: RadialGrid, support=(2.0, 4.0)):
     """Polynomial bump ((r-a)(b-r))^4 on [a, b], normalized to peak 1.
 
-    With snap=True the support is moved to the nearest panel edges so the
-    integrand is polynomial on every panel it touches.  With
-    derivatives=True also returns the closed-form first and second
-    derivatives (the bump has degree 8, one above the panel interpolant).
+    The support is moved to the nearest panel edges, so the integrand is
+    polynomial on every panel it touches.  Returns (fn, dfn, d2fn, (a, b)):
+    the bump, its closed-form first and second derivatives (the bump has
+    degree 8, one above the panel interpolant) and the snapped support.
     """
-    a, b = support
-    if snap:
-        a = float(grid.edges[np.argmin(np.abs(grid.edges - a))])
-        b = float(grid.edges[np.argmin(np.abs(grid.edges - b))])
-        if b <= a:
-            raise ValueError("bump support collapsed after snapping to panel edges")
+    a, b = (float(grid.edges[np.argmin(np.abs(grid.edges - x))]) for x in support)
+    if b <= a:
+        raise ValueError("bump support collapsed after snapping to panel edges")
     if not (1.0 < a < b < grid.r_max):
         raise ValueError("bump support must sit strictly inside (1, r_max)")
     peak = ((b - a) / 2.0) ** 8
@@ -105,9 +101,6 @@ def bump_profile(grid: RadialGrid, support=(2.0, 4.0), snap: bool = True,
     def fn(r):
         u, _, _ = _uw(r)
         return u ** 4 / peak
-
-    if not derivatives:
-        return fn, (a, b)
 
     def dfn(r):
         u, w, inside = _uw(r)
@@ -125,7 +118,7 @@ def bump_forcing(grid: RadialGrid, params: HamelParameters, epsilon: float,
                  support=(2.0, 4.0)) -> ForcingSpec:
     coeff = _half_spectrum(coefficients)
     cutoff = max(coeff) if cutoff is None else cutoff
-    fn, _ = bump_profile(grid, support)
+    fn, *_ = bump_profile(grid, support)
     base = fn(grid.r_nodes).astype(complex)
     spec = ForcingSpec.zero(grid, cutoff)
     for n, c in _truncate(coeff, cutoff).items():

@@ -18,7 +18,9 @@ where Phi_n is a particular decaying solution of the transported
 vorticity ODE and the constant c_n enforces the moment identity
 int_1^inf s^{1-|n|} omega_n ds = 0; the velocity mode is then recovered
 by the radial Biot-Savart integrals, and the moment identity is exactly
-the statement that it vanishes on the unit circle.
+the statement that it vanishes on the unit circle.  Phi_n takes
+`dirichlet_solve`'s form, with branches r^{-(zeta_n + gamma/2)} and
+r^{zeta_n - gamma/2}; only the correction c_n differs from that solve.
 
 All radial derivatives are Leibniz derivatives of the representation
 formulas (power prefactor times integral), never finite differences.
@@ -88,44 +90,35 @@ def compute_vorticity_mode(n: int, params: HamelParameters, grid: RadialGrid, *,
     zeta, hg = sc.zeta, params.half_gamma
     beta = zeta + hg
     delta = zeta - hg
-    r = grid.r_nodes
+
+    # pointwise data has order p = 0; divergence data p = -1 and the local
+    # term -f_rt left over from integrating by parts
+    if pointwise is not None:
+        f_r, f_t = pointwise
+        p, local = 0, ModeProfile.zeros(grid)
+        radial = f_r.scaled(-1j * n)
+        h_left, h_right = radial + f_t.scaled(-beta), radial + f_t.scaled(delta)
+    else:
+        f_rr, f_rt, f_tr, f_tt = divergence
+        p, local = -1, f_rt.scaled(-1.0)
+        h_left = (f_rr.scaled(1j * n * (beta - 1.0)) + f_rt.scaled(beta * (beta - 1.0))
+                  + f_tr.scaled(n * n - beta) + f_tt.scaled(-1j * n * (beta - 1.0)))
+        h_right = (f_rr.scaled(-1j * n * (delta + 1.0)) + f_rt.scaled(delta * (delta + 1.0))
+                   + f_tr.scaled(delta + n * n) + f_tt.scaled(1j * n * (delta + 1.0)))
+    two_zeta = 2.0 * zeta
+    phi = local.values + grid.r_nodes ** p * (
+        grid.cum_left(beta + p, h_left.values)
+        + cum_right_full(grid, delta - p, h_right.values, h_right.tail)) / two_zeta
 
     # envelope of omega: the data's, one power slower for pointwise data
-    env = max(p.tail.slowest_exponent() for p in pointwise or divergence)
-    env = max(env if pointwise is None else env + 1.0, -(sc.xi + hg))
-    if divergence is not None:
-        f_rr, f_rt, f_tr, f_tt = divergence
-        two_zeta = 2.0 * zeta
-        g1 = (f_rr.scaled(1j * n * (beta - 1.0) / two_zeta)
-              + f_rt.scaled(beta * (beta - 1.0) / two_zeta)
-              + f_tr.scaled(-(beta - n * n) / two_zeta)
-              + f_tt.scaled(-1j * n * (beta - 1.0) / two_zeta))
-        g2 = (f_rr.scaled(-1j * n * (delta + 1.0) / two_zeta)
-              + f_rt.scaled(delta * (delta + 1.0) / two_zeta)
-              + f_tr.scaled((delta + n * n) / two_zeta)
-              + f_tt.scaled(1j * n * (delta + 1.0) / two_zeta))
-        phi = (-f_rt.values
-               + grid.cum_left(beta - 1.0, g1.values) / r
-               + cum_right_full(grid, delta + 1.0, g2.values, g2.tail) / r)
-        lt = _left_kernel_tail(grid, beta - 1.0, g1.values, g1.tail)
-        rt = _right_kernel_tail(delta + 1.0, g2.tail)
-        if lt is not None and rt is not None:
-            phi_tail = (f_rt.tail.scaled(-1.0)
-                        + lt.times_power(-1.0) + rt.times_power(-1.0))
-        else:
-            phi_tail = envelope_tail(grid, env, phi)
+    env = max(prof.tail.slowest_exponent() for prof in pointwise or divergence)
+    env = max(env + (p + 1), -(sc.xi + hg))
+    lt = _left_kernel_tail(grid, beta + p, h_left.values, h_left.tail)
+    rt = _right_kernel_tail(delta - p, h_right.tail)
+    if lt is not None and rt is not None:
+        phi_tail = local.tail + (lt + rt).times_power(p).scaled(1.0 / two_zeta)
     else:
-        f_r, f_t = pointwise
-        hl = f_r.scaled(1j * n) + f_t.scaled(beta)
-        hr = f_r.scaled(-1j * n) + f_t.scaled(delta)
-        phi = (-grid.cum_left(beta, hl.values)
-               + cum_right_full(grid, delta, hr.values, hr.tail)) / (2.0 * zeta)
-        lt = _left_kernel_tail(grid, beta, hl.values, hl.tail)
-        rt = _right_kernel_tail(delta, hr.tail)
-        if lt is not None and rt is not None:
-            phi_tail = (lt.scaled(-1.0) + rt).scaled(1.0 / (2.0 * zeta))
-        else:
-            phi_tail = envelope_tail(grid, env, phi)
+        phi_tail = envelope_tail(grid, env, phi)
 
     a_n = float(abs(n))
     c_n = -(zeta + a_n + hg - 2.0) * full_moment(grid, 1.0 - a_n, phi, phi_tail)

@@ -387,41 +387,30 @@ def picard_iterate(forcing: ForcingSpec, params: HamelParameters, grid: RadialGr
     diag = PicardDiagnostics(forcing_norm=g_norm + f_norm)
 
     current = VelocityField.zero(grid, forcing.cutoff)
-    first = apply_T(current, forcing, params, grid)
-    d0 = field_diff_norm(first, current, params.rho)
-    diag.iterate_norms.append(x_norm(first, params.rho))
-    diag.difference_norms.append(d0)
-    diag.iterations = 1
-    if diag.forcing_norm > 0:
-        diag.lambda_empirical = d0 / diag.forcing_norm
-    if d0 == 0.0:
-        diag.converged = True
-        return first, diag
-
-    current = first
-    d_prev = d0
     bad_streak = 0
-    for k in range(1, max_iter):
+    for k in range(max_iter):
         nxt = apply_T(current, forcing, params, grid)
         d = field_diff_norm(nxt, current, params.rho)
-        q = d / d_prev if d_prev > 0 else 0.0
         diag.iterations = k + 1
         diag.iterate_norms.append(x_norm(nxt, params.rho))
         diag.difference_norms.append(d)
-        diag.contraction_factors.append(q)
         current = nxt
 
-        if not np.isfinite(q) or q >= 1.0:
-            bad_streak += 1
+        if k == 0:  # T(0) sets the scale d0 and converges only if it is zero
+            d0 = d
+            if diag.forcing_norm > 0:
+                diag.lambda_empirical = d0 / diag.forcing_norm
+        else:
+            q = d / d_prev if d_prev > 0 else 0.0
+            diag.contraction_factors.append(q)
+            bad_streak = bad_streak + 1 if not np.isfinite(q) or q >= 1.0 else 0
             if bad_streak >= 3:
                 raise ContractionError(
                     "outside contraction regime (data too large): "
                     f"contraction factors {diag.contraction_factors[-3:]}",
                     diagnostics=diag)
-        else:
-            bad_streak = 0
 
-        if d <= tol * d0:
+        if d <= (tol * d0 if k else 0.0):
             diag.converged = True
             return current, diag
         d_prev = d

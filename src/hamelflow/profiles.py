@@ -94,29 +94,16 @@ class PowerSum:
             return -np.inf
         return max(e.real for _, e in self.terms)
 
-    def integral(self, a, b=np.inf):
-        """int_a^b of the sum, exact; b may be inf."""
-        total = 0.0 + 0.0j
-        for coef, expo in self.terms:
-            p = expo + 1.0
-            if abs(p) < _MERGE_TOL:
-                if np.isinf(b):
-                    raise TailError("non-integrable tail: exponent -1 term")
-                total += coef * np.log(b / a)
-                continue
-            if np.isinf(b):
-                if p.real >= 0.0:
-                    raise TailError(
-                        f"non-integrable tail: exponent {expo} with Re >= -1"
-                    )
-                total += -coef * a ** p / p
-            else:
-                total += coef * (b ** p - a ** p) / p
-        return total
-
     def moment(self, a, r_max):
         """int_{r_max}^inf s^a * sum(s) ds, exact."""
-        return self.times_power(a).integral(r_max)
+        total = 0.0 + 0.0j
+        for coef, expo in self.terms:
+            p = expo + a + 1.0
+            if abs(p) < _MERGE_TOL or p.real >= 0.0:
+                raise TailError(
+                    f"non-integrable tail: exponent {expo + a} with Re >= -1")
+            total += -coef * r_max ** p / p
+        return total
 
     def right_integral_scaled(self, c, log_r, r_max):
         """r^c int_{r_max}^inf s^{-c} sum(s) ds at radii exp(log_r)."""
@@ -246,14 +233,17 @@ def one_block(pointwise, divergence):
         raise ValueError("exactly one of pointwise/divergence must be given")
 
 
-def dirichlet_solve(grid: RadialGrid, la, lb, p, h_left: ModeProfile, h_right: ModeProfile):
+def dirichlet_solve(grid: RadialGrid, la, lb, p, h_left: ModeProfile,
+                    h_right: ModeProfile | None):
     """Green's-function solve of an Euler-type radial block with v(1) = 0.
 
     The block has homogeneous solutions r^la and r^lb.  p = 1 takes
     pointwise data f, passed as both h_left and h_right.  p = 0 takes
     divergence-form data: after integrating by parts, the left and right
     kernels see two different combinations h_left and h_right of its
-    slots.  Variation of parameters gives
+    slots.  h_right = None stands for identically zero right data (mode-0
+    vertical divergence data, where lb = 0), whose kernels are skipped.
+    Variation of parameters gives
 
         v = [r^la int_1^r s^{p-la} h_left + r^lb int_r^inf s^{p-lb} h_right
              - r^la int_1^inf s^{p-lb} h_right] / (lb - la),
@@ -263,11 +253,15 @@ def dirichlet_solve(grid: RadialGrid, la, lb, p, h_left: ModeProfile, h_right: M
     """
     r = grid.r_nodes
     cl = grid.cum_left(p - la, h_left.values)
-    cr = cum_right_full(grid, lb - p, h_right.values, h_right.tail)
-    branch = full_moment(grid, p - lb, h_right.values, h_right.tail) * np.exp(la * grid.log_r)
+    cr = branch = right = 0.0
+    slowest = h_left.tail.slowest_exponent()
+    if h_right is not None:
+        cr = cum_right_full(grid, lb - p, h_right.values, h_right.tail)
+        branch = full_moment(grid, p - lb, h_right.values, h_right.tail) * np.exp(la * grid.log_r)
+        right = h_right.values
+        slowest = max(slowest, h_right.tail.slowest_exponent())
     rp = r ** p
     v = (rp * (cl + cr) - branch) / (lb - la)
     dv = ((rp * (la * cl + lb * cr) - la * branch) / r
-          + rp * (h_left.values - h_right.values)) / (lb - la)
-    slowest = max(h_left.tail.slowest_exponent(), h_right.tail.slowest_exponent())
+          + rp * (h_left.values - right)) / (lb - la)
     return v, dv, max(slowest + p + 1.0, float(np.real(la)))

@@ -9,11 +9,11 @@ with decay at infinity.  The homogeneous exponents are -gamma/2 +- zeta_n,
 so every mode is one `profiles.dirichlet_solve` with branches
 r^{-(zeta_n + gamma/2)} and r^{zeta_n - gamma/2}, called as
 `solve_vertical_mode(n, params, grid, pointwise=f_3)` or with
-`divergence=(f_r3, f_t3)`.  Mode 0 is the case
-zeta_0 = gamma/2, set exactly: its branches are r^{-gamma} and 1.  Without
-the background transport the constant branch would degenerate into
-logarithmic growth, which is why gamma > 2 is enforced at parameter
-construction and never relaxed here.
+`divergence=(f_r3, f_t3)`.  Mode 0 is the case zeta_0 = gamma/2, set
+exactly: its branches are r^{-gamma} and 1, and its divergence data has
+no right-kernel part.  Without the background transport the constant
+branch would degenerate into logarithmic growth, which is why gamma > 2
+is enforced at parameter construction and never relaxed here.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ def solve_vertical_mode(n: int, params: HamelParameters, grid: RadialGrid, *,
     if pointwise is not None:
         return dirichlet_solve(grid, -beta, delta, 1, pointwise, pointwise)
     f_r3, f_t3 = divergence
-    h_left, h_right = f_r3.scaled(-beta), f_r3.scaled(delta)
-    if n:  # the angular slot drops out at mode 0
-        angular = f_t3.scaled(1j * n)
-        h_left, h_right = h_left + angular, h_right + angular
-    return dirichlet_solve(grid, -beta, delta, 0, h_left, h_right)
+    if not n:  # delta = 0 and the angular slot drops out: no right data
+        return dirichlet_solve(grid, -beta, delta, 0, f_r3.scaled(-beta), None)
+    angular = f_t3.scaled(1j * n)
+    return dirichlet_solve(grid, -beta, delta, 0, f_r3.scaled(-beta) + angular,
+                           f_r3.scaled(delta) + angular)

@@ -1,8 +1,11 @@
+import itertools
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamelflow import cli
 from hamelflow.grid import RadialGrid
@@ -70,14 +73,16 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     ({"forcing": [1]}, "forcing=[1] must be a JSON object"),
     ({"forcing": {"family": "power", "f_exponent": float("nan")}},
      "divergence forcing has a non-finite value at mode 0 (rr)"),
+    ({"alpha": 10 ** 400}, "alpha is too large for a float"),
 ], ids=["bump-n_modes", "power-foo", "mode_cutoff-str", "power-truncated",
         "random-n_modes-negative", "coefficients-list", "coefficient-list",
-        "top-level-list", "forcing-list", "power-f_exponent-nan"])
+        "top-level-list", "forcing-list", "power-f_exponent-nan", "alpha-overflow"])
 def test_bad_config_file_exits_2(tmp_path, capsys, config, fragment):
     # a family option the family does not take, a value of the wrong type,
     # a malformed coefficient map, a forcing that the mode cutoff would
     # truncate to nothing, a config or forcing block that is no JSON object,
-    # and a family option that makes the forcing non-finite
+    # a family option that makes the forcing non-finite, and a float field
+    # holding an integer too large for a float
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -210,6 +215,41 @@ def test_non_contraction_exit_with_diagnostics(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert "error" in summary
     assert len(summary["picard"]["contraction_factors"]) >= 3
+
+
+@st.composite
+def small_configs(draw):
+    """Flags of a config drawn across the admissible range on small grids;
+    grids too coarse or too short for the data, and large data, make some
+    of them fail."""
+    gamma = draw(st.sampled_from([2.05, 2.3, 3.0, 4.0, 8.0, 20.0]))
+    rho = draw(st.floats(2.01, min(2.99, gamma)))
+    values = dict(
+        gamma=gamma, rho=rho,
+        alpha=draw(st.sampled_from([-3.0, 0.0, 1.0, 10.0, 100.0])),
+        r_max=draw(st.sampled_from([1.5, 10.0, 1e2, 1e3, 1e5])),
+        family=draw(st.sampled_from(cli.FAMILIES)),
+        epsilon=draw(st.sampled_from([1e-6, 1e-3, 0.1, 1.0])),
+        mode_cutoff=draw(st.integers(0, 2)),
+        panels=draw(st.sampled_from([1, 2, 4, 8])),
+        gauss_order=draw(st.sampled_from([2, 4, 6])),
+        max_iter=20,
+    )
+    return [x for k, v in values.items() for x in (f"--{k.replace('_', '-')}", str(v))]
+
+
+_RUN_DIRS = itertools.count()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(argv=small_configs())
+def test_exit_code_contract(tmp_path_factory, argv):
+    # every config exits with a documented code and never a traceback; every
+    # run that got past validation leaves its summary
+    out = tmp_path_factory.getbasetemp() / f"contract{next(_RUN_DIRS)}"
+    code = cli.main(argv + ["--output-dir", str(out)])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NO_CONTRACTION, cli.EXIT_BOUNDARY)
+    assert (out / "summary.json").exists() == (code != cli.EXIT_CONFIG)
 
 
 def test_main_entrypoint_config_error(capsys):

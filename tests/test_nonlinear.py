@@ -368,6 +368,19 @@ def test_picard_iteration_limit(grid):
         nl.picard_iterate(forcing, PARAMS, grid, max_iter=2, tol=1e-14)
 
 
+def test_picard_first_step_sets_the_scale(grid):
+    # step 0 only sets d0: one step never converges on nonzero data, and
+    # even tol >= 1 is tested first at step 1
+    forcing = power_envelope_forcing(grid, PARAMS, 1e-3, {0: 1.0, 1: 1.0})
+    with pytest.raises(IterationError) as info:
+        nl.picard_iterate(forcing, PARAMS, grid, max_iter=1)
+    diag = info.value.diagnostics
+    assert diag.iterations == 1 and diag.contraction_factors == []
+    assert diag.lambda_empirical == diag.difference_norms[0] / diag.forcing_norm
+    _, diag = nl.picard_iterate(forcing, PARAMS, grid, tol=2.0)
+    assert diag.converged and diag.iterations == 2 and len(diag.contraction_factors) == 1
+
+
 def test_bilinear_identity(grid):
     # div(w (x) w) must equal w . grad w in physical space when div w = 0;
     # use solver output as w so the per-mode divergence identity holds.

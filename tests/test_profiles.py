@@ -84,7 +84,7 @@ def test_integrate_weighted_finite_interval(grid):
 
 def test_powersum_closed_form_integral():
     ps = PowerSum.of((2.0, -3.0), (1.0, -5.0))
-    assert abs(ps.integral(1.0, np.inf) - (1.0 + 0.25)) < 1e-14
+    assert abs(ps.moment(0.0, 1.0) - (1.0 + 0.25)) < 1e-14   # int_1^inf
     # the tail integrals beyond R = 50 of 2 s^-3 + i s^e
     R, e = 50.0, -4.0 + 0.5j
     ps = PowerSum.of((2.0, -3.0), (1j, e))
@@ -97,7 +97,7 @@ def test_powersum_closed_form_integral():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: PowerSum.of((1.0, -0.5)).integral(1.0, np.inf),
+    lambda: PowerSum.of((1.0, -0.5)).moment(0.0, 1.0),
     lambda: PowerSum.of((1.0, -2.5)).moment(2.0, 10.0),       # s^{-1/2}
     lambda: PowerSum.of((1.0, -2.5)).moment(1.5, 10.0),       # s^{-1}, the log case
     lambda: PowerSum.of((1.0, -2.5)).right_integral_scaled(-2.0, np.zeros(2), 10.0),

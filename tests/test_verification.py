@@ -43,6 +43,15 @@ def test_fit_window_validation(grid):
         vf.fit_decay((radii, radii ** -2.0), (10.0, 900.0), grid=grid)
 
 
+def test_fit_window_needs_two_nodes():
+    # one node in the window would make polyfit fit a line through one point
+    radii = np.array([1.0, 3.0, 20.0, 80.0])
+    with pytest.raises(ValueError, match="fewer than two grid nodes"):
+        vf.fit_decay((radii, radii ** -2.0), (10.0, 30.0))
+    fit = vf.fit_decay((radii, radii ** -2.0), (10.0, 80.0))
+    assert abs(fit.slope + 2.0) < 1e-12
+
+
 def test_fit_zero_magnitude_rejected(grid):
     radii = grid.r_nodes
     data = np.where(radii < 50, radii ** -2.0, 0.0)

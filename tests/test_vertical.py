@@ -5,8 +5,9 @@ from hamelflow import vertical as vt
 from hamelflow.background import HamelParameters
 from hamelflow.errors import AdmissibilityError
 from hamelflow.forcing import bump_profile
+from hamelflow.grid import RadialGrid
 from hamelflow.nonlinear import VelocityField
-from hamelflow.profiles import ModeProfile, PowerSum, envelope_tail
+from hamelflow.profiles import ModeProfile, PowerSum, dirichlet_solve, envelope_tail
 from hamelflow.spectral import compute_coefficients
 from hamelflow.verification import (
     euler_residual,
@@ -59,7 +60,7 @@ def test_axisymmetric_divergence_ignores_angular_envelope(grid):
 
 def test_axisymmetric_divergence_history_only_support(grid):
     # compactly supported F_r3: the solution vanishes identically below the support
-    fn, (a, b) = bump_profile(grid, (2.0, 4.0))
+    fn, _, _, (a, b) = bump_profile(grid, (2.0, 4.0))
     f_r3 = ModeProfile(fn(grid.r_nodes), grid)
     v, _, _ = vt.solve_vertical_mode(0, PARAMS, grid, divergence=(f_r3, ModeProfile.zeros(grid)))
     below = grid.r_nodes < a
@@ -98,11 +99,37 @@ def test_manufactured_roundtrip(grid, n, alpha):
     assert structural_residuals(fieldv)["boundary_rel"][n] < 1e-12
 
 
+def test_axisymmetric_divergence_skips_zero_right_branch(grid, monkeypatch):
+    # delta = 0 at mode 0, so the right data delta * f_r3 is identically zero:
+    # the solve runs no right kernel and no moment, and matches the solve
+    # that passes those zeros explicitly
+    calls = []
+
+    def counted(name):
+        kernel = getattr(RadialGrid, name)
+
+        def wrapper(self, *args):
+            calls.append(name)
+            return kernel(self, *args)
+        return wrapper
+
+    for name in ("cum_right", "node_moment"):
+        monkeypatch.setattr(RadialGrid, name, counted(name))
+    r = grid.r_nodes
+    f_r3 = ModeProfile.from_powersum(PowerSum.of((1.0, -3.5)), grid)
+    f_t3 = ModeProfile(np.exp(-r), grid)
+    v, dv, env = vt.solve_vertical_mode(0, PARAMS, grid, divergence=(f_r3, f_t3))
+    assert calls == []
+    beta = PARAMS.gamma  # zeta_0 + gamma/2
+    v0, dv0, env0 = dirichlet_solve(grid, -beta, 0.0, 0, f_r3.scaled(-beta), f_r3.scaled(0.0))
+    assert np.array_equal(v, v0) and np.array_equal(dv, dv0) and env == env0
+
+
 def test_divergence_vs_pointwise_consistency(grid):
     # for smooth compact F the two forcing forms must give one solution
     n = 2
     params = HamelParameters(1.0, 4.0, 2.5)
-    fn, dfn, _, (a, b) = bump_profile(grid, (2.0, 4.0), derivatives=True)
+    fn, dfn, _, (a, b) = bump_profile(grid, (2.0, 4.0))
     f_r3 = ModeProfile(fn(grid.r_nodes), grid)
     f_t3 = ModeProfile(0.5 * fn(grid.r_nodes), grid)
     v_div, _, _ = vt.solve_vertical_mode(n, params, grid, divergence=(f_r3, f_t3))

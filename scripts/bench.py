@@ -10,9 +10,13 @@ N = 2, 8, 16, 24 with every mode forced; and the spectral product
 `tensor_convolution(w, w)` at N = 8, 24, 32, where w is the first
 Picard iterate of that forcing; and, at N = 24 on that iterate, the norms
 `x_norm(w)` and `field_diff_norm(T(w), w)` and the weak residual
-`weak_ns_residual` against the CLI's test suite.  The solves, `apply_T`,
-the product, the norms and the residual run on the default grid
-(64 panels, Gauss-8, r_max = 1e3).  Each row records the median and the
+`weak_ns_residual` against the CLI's test suite; and a whole run,
+`cli.run` beside its `picard_iterate`, on one `many_modes`-type config
+(N = 24, `random` with every mode forced, seed 12345, eps = 0.05), whose
+difference is the run's time outside the solve: summary, norms, decay
+fit, weak residual and artifacts.  The solves, `apply_T`, the product,
+the norms, the residual and the run use the default grid (64 panels,
+Gauss-8, r_max = 1e3).  Each row records the median and the
 minimum of k calls timed with `time.perf_counter` after one untimed
 warm-up call; the minimum is the steadier figure for sub-millisecond
 rows.  BLAS threads should be pinned to 1.
@@ -31,18 +35,20 @@ import os
 import platform
 import statistics
 import subprocess
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
 import hamelflow
+from hamelflow import cli
 from hamelflow.background import HamelParameters
 from hamelflow.forcing import build_family
 from hamelflow.grid import RadialGrid
 from hamelflow.horizontal import solve_mode
 from hamelflow.nonlinear import (VelocityField, apply_T, field_diff_norm,
-                                 tensor_convolution, x_norm)
+                                 picard_iterate, tensor_convolution, x_norm)
 from hamelflow.profiles import ModeProfile, PowerSum
 from hamelflow.verification import make_test_suite, weak_ns_residual
 from hamelflow.vertical import solve_vertical_mode
@@ -58,6 +64,9 @@ K_APPLY_T = 5   # timed calls per apply_T figure
 K_CONV = 7      # timed calls per tensor_convolution figure
 NORM_CUTOFF = 24
 K_NORM = 21     # timed calls per norm and weak-residual figure
+RUN_CONFIG = dict(panels=64, mode_cutoff=24, family="random", seed=12345, epsilon=0.05,
+                  family_options={"n_modes": 24})
+K_RUN = 7       # timed calls per whole-run figure
 
 
 def timings(fn, k):
@@ -161,6 +170,32 @@ def norm_rows(k):
             for name, fn in calls.items()]
 
 
+def run_rows(k):
+    """`cli.run`, its `picard_iterate` alone, and their difference."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        cfg = cli.RunConfig(**RUN_CONFIG, output_dir=out_dir)
+        params = cfg.validate()
+        grid = RadialGrid.build(cfg.panels, cfg.gauss_order, cfg.r_max)
+        forcing = build_family(cfg.family, grid, params, cfg.epsilon,
+                               coefficients=cfg.coefficients, seed=cfg.seed,
+                               cutoff=cfg.mode_cutoff, **cfg.family_options)
+        assert cli.run(cfg) == cli.EXIT_OK  # also the warm-up call of both
+        calls = {"cli.run": lambda: cli.run(cfg),
+                 "picard_iterate": lambda: picard_iterate(forcing, params, grid,
+                                                          max_iter=cfg.max_iter, tol=cfg.tol)}
+        times = {name: [] for name in calls}
+        for _ in range(k):  # alternated, so that both see the same load on the machine
+            for name, fn in calls.items():
+                t0 = time.perf_counter()
+                fn()
+                times[name].append(time.perf_counter() - t0)
+    whole, solve = ({"median_s": statistics.median(t), "min_s": min(t)} for t in times.values())
+    outside = {key: whole[key] - solve[key] for key in whole}
+    return [{"kernel": name, "cutoff": cfg.mode_cutoff, "panels": cfg.panels, **t}
+            for name, t in (("cli.run", whole), ("picard_iterate", solve),
+                            ("outside_solve", outside))]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -179,8 +214,9 @@ def main():
         "k_apply": K_APPLY_T,
         "k_conv": K_CONV,
         "k_norm": K_NORM,
+        "k_run": K_RUN,
         "results": (kernel_rows(K_KERNEL) + solve_rows(K_SOLVE) + apply_T_rows(K_APPLY_T)
-                    + convolution_rows(K_CONV) + norm_rows(K_NORM)),
+                    + convolution_rows(K_CONV) + norm_rows(K_NORM) + run_rows(K_RUN)),
     }
     for row in run["results"]:
         where = (f"N={row['cutoff']}" if "cutoff" in row

@@ -6,11 +6,13 @@
 OLD_SRC and NEW_SRC are directories that hold a `hamelflow` package (the
 `src` directory of a checkout).  Each tree solves, in its own subprocess,
 the first 16 `fine_grid`, the first 12 `many_modes` and all 384
-`admissible_mix` reference configs of `perfbench/refs/*.json` (read, never
-written), each built the way `perfbench/workloads.py` builds it: the
-`fine_grid` configs through `picard_iterate` on a mode-1-rotated power
-forcing, the others through `cli.run`.  `--limit K` takes at most the
-first K configs of each workload.
+`admissible_mix` reference configs of `perfbench/refs/*.json`.  Each config
+is one attempt of `perfbench/workloads.py`'s `Solver`, taken from the
+checkout that holds this script (read, never written), so the configs are
+built exactly as the benchmark builds them: the `fine_grid` configs through
+`picard_iterate` on a mode-1-rotated power forcing, the others through
+`cli.run`.  A wrapper around `picard_iterate` keeps each solved field.
+`--limit K` takes at most the first K configs of each workload.
 
 The script prints:
 - the outcome counts of each tree, and every config whose outcome, error
@@ -32,10 +34,8 @@ import argparse
 import contextlib
 import io
 import json
-import math
 import os
 import pickle
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-REFS_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
+PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 # workload and the number of its reference configs compared by default
 WORKLOADS = (("fine_grid", 16), ("many_modes", 12), ("admissible_mix", 384))
 MODE_FLOORS = (1e-8, 1e-3)   # per-mode figures: modes above this share of the largest
@@ -54,65 +54,38 @@ ROUNDING_FLOOR = 1e-8        # difference norms below this share of d0
 # worker: solve every config with the hamelflow found on sys.path
 
 
-def _solve_fine_grid(hf, config):
-    """perfbench's fine_grid attempt: a power forcing with mode 1 rotated by phi."""
-    grid = hf.grid.RadialGrid.build(config["panels"], config["gauss_order"], config["r_max"])
-    params = hf.background.HamelParameters(config["alpha"], config["gamma"], config["rho"])
-    coeff = {0: 1.0, 1: complex(math.cos(config["phi"]), math.sin(config["phi"]))}
-    forcing = hf.forcing.build_family("power", grid, params, config["epsilon"],
-                                      coefficients=coeff)
-    try:
-        fieldv, diag = hf.nonlinear.picard_iterate(forcing, params, grid)
-    except (hf.errors.BoundaryError, hf.errors.ContractionError,
-            hf.errors.IterationError) as exc:  # the failures cli.run reports
-        return _failure(exc), params.rho
-    return _success(hf, fieldv, diag, params.rho), params.rho
-
-
-def _run_config(hf, workload, config, out_dir):
-    """perfbench's RunConfig of a many_modes or admissible_mix config."""
-    if workload == "many_modes":
-        return hf.cli.RunConfig(
-            panels=config["panels"], mode_cutoff=config["mode_cutoff"],
-            family="random", epsilon=config["epsilon"], seed=config["seed"],
-            family_options={"n_modes": config["mode_cutoff"]}, output_dir=out_dir)
-    return hf.cli.RunConfig(
-        alpha=config["alpha"], gamma=config["gamma"], rho=config["rho"],
-        mode_cutoff=config["mode_cutoff"], panels=config["panels"],
-        r_max=config["r_max"], family=config["family"],
-        epsilon=config["epsilon"], seed=config["seed"], output_dir=out_dir)
-
-
-def _solve_cli(hf, workload, config, scratch):
-    """One `cli.run`; its Picard call is wrapped to keep the field."""
+def _attempt(hf, wl, solver, config):
+    """One perfbench attempt; its Picard call is wrapped to keep the field."""
     seen = {}
-    picard = hf.cli.picard_iterate
+    picard = hf.nonlinear.picard_iterate
 
-    def keep(*args, **kwargs):
+    def keep(forcing, params, *args, **kwargs):
+        seen["rho"] = params.rho
         try:
-            seen["result"] = picard(*args, **kwargs)
+            seen["result"] = picard(forcing, params, *args, **kwargs)
         except Exception as exc:
             seen["error"] = exc
             raise
         return seen["result"]
 
-    out_dir = tempfile.mkdtemp(dir=scratch)
-    cfg = _run_config(hf, workload, config, out_dir)
-    hf.cli.picard_iterate = keep
-    err = io.StringIO()
+    # fine_grid attempts call nonlinear.picard_iterate, cli.run its own import
+    hf.nonlinear.picard_iterate = hf.cli.picard_iterate = keep
+    err, result = io.StringIO(), {}
     try:
         with contextlib.redirect_stderr(err):
-            code = hf.cli.run(cfg)
+            result = solver.attempt(config)
+    except (hf.errors.BoundaryError, hf.errors.ContractionError,
+            hf.errors.IterationError):  # the failures cli.run reports
+        pass
     finally:
-        hf.cli.picard_iterate = picard
-        shutil.rmtree(out_dir, ignore_errors=True)
-    rho = cfg.rho
+        hf.nonlinear.picard_iterate = hf.cli.picard_iterate = picard
+        wl.cleanup(result)
     if "result" in seen:
-        return _success(hf, *seen["result"], rho), rho
+        return _success(hf, *seen["result"], seen["rho"]), seen["rho"]
     if "error" in seen:
-        return _failure(seen["error"]), rho
-    return {"outcome": f"exit {code}", "message": err.getvalue().strip(),
-            "iterations": None}, rho
+        return _failure(seen["error"]), seen["rho"]
+    return {"outcome": f"exit {result['exit']}", "message": err.getvalue().strip(),
+            "iterations": None}, None
 
 
 def _failure(exc):
@@ -132,23 +105,24 @@ def _success(hf, fieldv, diag, rho):
 
 def worker(src, out_path, limit):
     sys.path.insert(0, src)
+    sys.path.insert(0, str(PERFBENCH_DIR))
+    sys.dont_write_bytecode = True  # no __pycache__ under perfbench/
     import hamelflow  # noqa: F401
-    from hamelflow import background, cli, errors, forcing, grid, nonlinear
+    import workloads as wl
+    from hamelflow import cli, errors, nonlinear
 
-    hf = argparse.Namespace(background=background, cli=cli, errors=errors,
-                            forcing=forcing, grid=grid, nonlinear=nonlinear)
+    hf = argparse.Namespace(cli=cli, errors=errors, nonlinear=nonlinear)
     if not Path(hamelflow.__file__).resolve().is_relative_to(Path(src).resolve()):
         sys.exit(f"imported {hamelflow.__file__}, not the tree under {src}")
     results = []
     with tempfile.TemporaryDirectory() as scratch:
         for workload, count in WORKLOADS:
-            refs = json.loads((REFS_DIR / f"{workload}.json").read_text())
-            for i, entry in enumerate(refs["entries"][:min(count, limit)]):
-                config = entry["config"]
-                if workload == "fine_grid":
-                    result, rho = _solve_fine_grid(hf, config)
-                else:
-                    result, rho = _solve_cli(hf, workload, config, scratch)
+            refs = json.loads((PERFBENCH_DIR / "refs" / f"{workload}.json").read_text())
+            entries = refs["entries"][:min(count, limit)]
+            solver = wl.Solver(workload, scratch)
+            solver.prepare(entries[0]["config"])
+            for i, entry in enumerate(entries):
+                result, rho = _attempt(hf, wl, solver, entry["config"])
                 results.append({"id": f"{workload}[{i}]", "rho": rho, **result})
     with open(out_path, "wb") as fh:
         pickle.dump(results, fh)

@@ -1,17 +1,19 @@
 """Batch front end: config parsing, run orchestration, artifact emission.
 
-Artifacts per run: the radial profiles of the modes n = 0..N as CSV
-(`r, re, im`; mode -n is the conjugate of mode n), a machine-readable JSON
-summary, and plot-ready decay data for |u - V|.  Identical config and seed
-produce byte-identical summaries.
+Artifacts per run: `profiles.npy`, the (N+1, 3, M) complex array of the
+radial profiles (v_r, v_t, v_3) of the modes n = 0..N at the M grid nodes
+(mode -n is the conjugate of mode n); `decay.csv`, the radii and the
+theta-RMS of |u - V|; and a machine-readable JSON summary.  Identical
+config and seed produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 invalid configuration (among others a
-non-finite number or max_iter < 1), 3 the fixed-point iteration left the
-contraction regime or hit its step limit (diagnostics are still written),
-4 a mode solve failed its boundary or moment identity (`BoundaryError`;
-the summary records the error), 1 unexpected I/O failure (a config file
-that cannot be read, or an output directory that cannot be created, exits
-1 with a one-line message).
+non-finite number, a boolean in a numeric field or max_iter < 1), 3 the
+fixed-point iteration left the contraction regime or hit its step limit
+(diagnostics are still written), 4 a mode solve failed its boundary or
+moment identity (`BoundaryError`; the summary records the error), 1 I/O
+failure (a config file that cannot be read, an output directory that
+cannot be created or an artifact that cannot be written exits 1 with a
+one-line message).
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ class RunConfig:
     def validate(self) -> HamelParameters:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, _FIELD_TYPES[f.type]):
+            # a JSON true or false is a Python int, so it is rejected apart
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise AdmissibilityError(f"{f.name}={value!r} must be of type {f.type}")
             if f.type != "float":
                 continue
@@ -86,6 +89,9 @@ class RunConfig:
                 raise AdmissibilityError(f"{f.name} is too large for a float") from exc
             if not finite:
                 raise AdmissibilityError(f"{f.name}={value!r} must be finite")
+        for key, value in self.family_options.items():  # every family option is numeric
+            if isinstance(value, bool):
+                raise AdmissibilityError(f"{key}={value!r} must be a number")
         try:
             params = HamelParameters(self.alpha, self.gamma, self.rho)
         except AdmissibilityError as exc:
@@ -106,7 +112,7 @@ class RunConfig:
 
 def _coerce_coefficients(raw) -> dict:
     malformed = AdmissibilityError(f"coefficients={raw!r} must map modes to numbers")
-    if not isinstance(raw, dict):
+    if not isinstance(raw, dict) or any(isinstance(v, bool) for v in raw.values()):
         raise malformed
     try:
         coefficients = {int(k): complex(v) for k, v in raw.items()}
@@ -168,22 +174,11 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
-def _write_profiles(out_dir: Path, fieldv):
-    prof_dir = out_dir / "profiles"
-    prof_dir.mkdir(parents=True, exist_ok=True)
-    # one template per run, filled with each profile's interleaved (re, im)
-    template = "r,re,im\n" + "".join(f"{x:.17g},%.17g,%.17g\n" for x in fieldv.grid.r_nodes)
-    for n, triple in enumerate(fieldv.values):
-        for tag, values in zip(("vr", "vt", "v3"), triple):
-            parts = tuple(np.ascontiguousarray(values).view(float).tolist())
-            (prof_dir / f"mode_{n:+d}_{tag}.csv").write_text(template % parts)
-
-
-def _write_decay(out_dir: Path, radii, amplitude):
-    lines = ["r,amplitude"]
-    for r, a in zip(radii, amplitude):
-        lines.append(f"{r:.17g},{a:.17g}")
-    (out_dir / "decay.csv").write_text("\n".join(lines) + "\n")
+def _write_arrays(out_dir: Path, fieldv, amplitude):
+    """`profiles.npy` holds `fieldv.values`; `decay.csv` the radii and amplitude."""
+    np.save(out_dir / "profiles.npy", fieldv.values)
+    np.savetxt(out_dir / "decay.csv", np.column_stack((fieldv.grid.r_nodes, amplitude)),
+               fmt="%.17g", delimiter=",", header="r,amplitude", comments="")
 
 
 def run(config: RunConfig) -> int:
@@ -199,14 +194,15 @@ def run(config: RunConfig) -> int:
     except (AdmissibilityError, TailError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    out_dir = Path(config.output_dir)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+        return _solve_and_write(config, params, grid, forcing, Path(config.output_dir))
+    except OSError as exc:  # the output dir or an artifact cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
+
+def _solve_and_write(config: RunConfig, params, grid, forcing, out_dir: Path) -> int:
+    out_dir.mkdir(parents=True, exist_ok=True)
     summary = {
         "config": {
             **{f.name: getattr(config, f.name) for f in dataclasses.fields(config)
@@ -240,8 +236,7 @@ def run(config: RunConfig) -> int:
     }
 
     amplitude = fieldv.theta_rms()
-    _write_profiles(out_dir, fieldv)
-    _write_decay(out_dir, grid.r_nodes, amplitude)
+    _write_arrays(out_dir, fieldv, amplitude)
 
     if np.max(amplitude) > 0:
         window = (10.0, grid.r_max / 3.0)

@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamelflow import cli
+from hamelflow.forcing import build_family
 from hamelflow.grid import RadialGrid
-from hamelflow.nonlinear import VelocityField
+from hamelflow.nonlinear import VelocityField, picard_iterate
+
+ARTIFACTS = ["decay.csv", "profiles.npy", "summary.json"]
 
 
 def run_cfg(tmp_path, **kw):
@@ -74,15 +77,25 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     ({"forcing": {"family": "power", "f_exponent": float("nan")}},
      "divergence forcing has a non-finite value at mode 0 (rr)"),
     ({"alpha": 10 ** 400}, "alpha is too large for a float"),
+    ({"panels": True}, "panels=True must be of type int"),
+    ({"alpha": False, "mode_cutoff": True}, "alpha=False must be of type float"),
+    ({"mode_cutoff": True}, "mode_cutoff=True must be of type int"),
+    ({"forcing": {"epsilon": True}}, "epsilon=True must be of type float"),
+    ({"forcing": {"coefficients": {"0": True, "1": 1.0}}}, "must map modes to numbers"),
+    ({"mode_cutoff": 3, "forcing": {"family": "random", "n_modes": True}},
+     "n_modes=True must be a number"),
 ], ids=["bump-n_modes", "power-foo", "mode_cutoff-str", "power-truncated",
         "random-n_modes-negative", "coefficients-list", "coefficient-list",
-        "top-level-list", "forcing-list", "power-f_exponent-nan", "alpha-overflow"])
+        "top-level-list", "forcing-list", "power-f_exponent-nan", "alpha-overflow",
+        "panels-bool", "alpha-bool", "mode_cutoff-bool", "epsilon-bool", "coefficient-bool",
+        "n_modes-bool"])
 def test_bad_config_file_exits_2(tmp_path, capsys, config, fragment):
-    # a family option the family does not take, a value of the wrong type,
-    # a malformed coefficient map, a forcing that the mode cutoff would
-    # truncate to nothing, a config or forcing block that is no JSON object,
-    # a family option that makes the forcing non-finite, and a float field
-    # holding an integer too large for a float
+    # a family option the family does not take, a value of the wrong type
+    # (a JSON boolean in a numeric field among them), a malformed coefficient
+    # map, a forcing that the mode cutoff would truncate to nothing, a config
+    # or forcing block that is no JSON object, a family option that makes the
+    # forcing non-finite, and a float field holding an integer too large for
+    # a float
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -103,7 +116,7 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ['[1, 2]', '{"1": [1]}'])
+@pytest.mark.parametrize("flag", ['[1, 2]', '{"1": [1]}', '{"0": true, "1": false}'])
 def test_malformed_coefficients_flag_exits_2(tmp_path, capsys, flag):
     out = tmp_path / "out"
     argv = ["--coefficients", flag, "--output-dir", str(out)]
@@ -169,25 +182,33 @@ def test_converged_run_artifacts(tmp_path):
     assert "decay_fit" in summary and "slope" in summary["decay_fit"]
     assert summary["lambda_formula_c0_1"] > 0
 
+    assert sorted(os.listdir(out)) == ARTIFACTS
+
     decay = (out / "decay.csv").read_text().splitlines()
     assert decay[0] == "r,amplitude"
     r, amp = zip(*(map(float, line.split(",")) for line in decay[1:]))
     assert len(r) == 24 * 8 + 2
     assert all(a >= 0 for a in amp)
 
-    # modes 0..N only: mode -n is the conjugate of mode n
-    assert sorted(os.listdir(out / "profiles")) == [
-        f"mode_+{n}_{tag}.csv" for n in (0, 1) for tag in ("v3", "vr", "vt")]
-    header = (out / "profiles" / "mode_+1_vt.csv").read_text().splitlines()[0]
-    assert header == "r,re,im"
+    # modes 0..N only (mode -n is the conjugate of mode n) at decay.csv's radii,
+    # bit for bit the field that picard_iterate solves for the same config
+    profiles = np.load(out / "profiles.npy")
+    assert profiles.dtype == np.complex128 and profiles.shape == (2, 3, len(r))
+    params = cfg.validate()
+    grid = RadialGrid.build(cfg.panels, cfg.gauss_order, cfg.r_max)
+    forcing = build_family(cfg.family, grid, params, cfg.epsilon,
+                           coefficients=cfg.coefficients, seed=cfg.seed, cutoff=cfg.mode_cutoff)
+    fieldv, _ = picard_iterate(forcing, params, grid, max_iter=cfg.max_iter, tol=cfg.tol)
+    assert np.array_equal(np.array(r), grid.r_nodes)
+    assert np.array_equal(profiles.view(np.uint64), fieldv.values.view(np.uint64))
 
 
 def test_byte_identical_summaries(tmp_path):
     cfg_a, out_a = run_cfg(tmp_path, family="random", seed=11)
     cli.run(cfg_a)
-    first = (out_a / "summary.json").read_bytes()
+    first = {name: (out_a / name).read_bytes() for name in ARTIFACTS}
     cli.run(cfg_a)
-    assert (out_a / "summary.json").read_bytes() == first
+    assert {name: (out_a / name).read_bytes() for name in ARTIFACTS} == first
 
 
 def test_summary_config_records_family_options(tmp_path):
@@ -245,11 +266,14 @@ _RUN_DIRS = itertools.count()
 @given(argv=small_configs())
 def test_exit_code_contract(tmp_path_factory, argv):
     # every config exits with a documented code and never a traceback; every
-    # run that got past validation leaves its summary
+    # run that got past validation leaves its summary, and only a solved one
+    # its arrays
     out = tmp_path_factory.getbasetemp() / f"contract{next(_RUN_DIRS)}"
     code = cli.main(argv + ["--output-dir", str(out)])
     assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NO_CONTRACTION, cli.EXIT_BOUNDARY)
     assert (out / "summary.json").exists() == (code != cli.EXIT_CONFIG)
+    for name in ("profiles.npy", "decay.csv"):
+        assert (out / name).exists() == (code == cli.EXIT_OK)
 
 
 def test_main_entrypoint_config_error(capsys):
@@ -267,6 +291,23 @@ def test_uncreatable_output_dir_exits_with_one_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("blocked,kw", [
+    ("summary.json", {}),
+    ("profiles.npy", {}),
+    ("decay.csv", {}),
+    ("summary.json", dict(epsilon=1000.0, max_iter=20)),
+], ids=["summary", "profiles", "decay", "summary-after-exit-3"])
+def test_unwritable_artifact_exits_with_one_line(tmp_path, capsys, blocked, kw):
+    # a directory where an artifact goes: the solve runs, the write fails with
+    # one error line and exit 1, also when the run would have exited 3
+    cfg, out = run_cfg(tmp_path, **kw)
+    (out / blocked).mkdir(parents=True)
+    assert cli.run(cfg) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert blocked in err and "Traceback" not in err
+
+
 def test_boundary_error_exit_with_summary(tmp_path, capsys):
     # the CLI defaults at r_max = 100 fail mode 1's moment identity (modes are
     # solved in 0..N order, so the error names mode 1, not its mirror -1)
@@ -278,15 +319,12 @@ def test_boundary_error_exit_with_summary(tmp_path, capsys):
     assert summary["config"]["r_max"] == 100.0
 
 
-def _old_profile_writer(prof_dir, fieldv):
-    """The line-by-line f-string writer the template writer replaced."""
-    r = fieldv.grid.r_nodes
-    for n in range(fieldv.cutoff + 1):
-        for tag, values in zip(("vr", "vt", "v3"), fieldv.values[n]):
-            lines = ["r,re,im"]
-            for j in range(len(r)):
-                lines.append(f"{r[j]:.17g},{values[j].real:.17g},{values[j].imag:.17g}")
-            (prof_dir / f"mode_{n:+d}_{tag}.csv").write_text("\n".join(lines) + "\n")
+def _old_decay_writer(out_dir, radii, amplitude):
+    """The f-string writer of decay.csv that `np.savetxt` replaced."""
+    lines = ["r,amplitude"]
+    for r, a in zip(radii, amplitude):
+        lines.append(f"{r:.17g},{a:.17g}")
+    (out_dir / "decay.csv").write_text("\n".join(lines) + "\n")
 
 
 def test_profile_writer_bytes_and_round_trip(tmp_path):
@@ -305,26 +343,22 @@ def test_profile_writer_bytes_and_round_trip(tmp_path):
                 re, im = np.zeros(m), np.zeros(m)
             fieldv.values[n, k] = re + 1j * im
 
-    new_dir, old_dir = tmp_path / "new", tmp_path / "old"
-    cli._write_profiles(new_dir, fieldv)
-    old_dir.mkdir()
-    _old_profile_writer(old_dir, fieldv)
-    written = sorted(p.name for p in (new_dir / "profiles").iterdir())
-    assert written == sorted(p.name for p in old_dir.iterdir())
-    assert len(written) == 9
-    for name in written:
-        assert (new_dir / "profiles" / name).read_bytes() == (old_dir / name).read_bytes()
+    amplitudes = [np.zeros(m), np.resize(special, m),
+                  np.abs(rng.normal(size=m)) * 10.0 ** rng.integers(-300, 300, size=m),
+                  np.abs(rng.normal(size=m))]
+    for i, amplitude in enumerate(amplitudes):
+        new_dir, old_dir = tmp_path / f"new{i}", tmp_path / f"old{i}"
+        new_dir.mkdir()
+        old_dir.mkdir()
+        cli._write_arrays(new_dir, fieldv, amplitude)
+        _old_decay_writer(old_dir, grid.r_nodes, amplitude)
+        assert sorted(os.listdir(new_dir)) == ["decay.csv", "profiles.npy"]
+        assert (new_dir / "decay.csv").read_bytes() == (old_dir / "decay.csv").read_bytes()
 
-    for n, trip in enumerate(fieldv.values):
-        for tag, values in zip(("vr", "vt", "v3"), trip):
-            lines = (new_dir / "profiles" / f"mode_{n:+d}_{tag}.csv").read_text().splitlines()
-            assert lines[0] == "r,re,im"
-            rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-            assert np.array_equal(rows[:, 0], grid.r_nodes)
-            assert np.array_equal(rows[:, 1], values.real)
-            assert np.array_equal(rows[:, 2], values.imag)
-            assert np.array_equal(np.signbit(rows[:, 1:]),
-                                  np.signbit(np.column_stack((values.real, values.imag))))
+        # every bit back, signed zeros and subnormals included
+        profiles = np.load(new_dir / "profiles.npy")
+        assert profiles.dtype == np.complex128 and profiles.shape == (3, 3, m)
+        assert np.array_equal(profiles.view(np.uint64), fieldv.values.view(np.uint64))
 
 
 @pytest.mark.parametrize("argv,reason", [
@@ -340,5 +374,5 @@ def test_converged_run_without_room_for_test_functions(tmp_path, argv, reason):
     assert summary["picard"]["converged"]
     assert summary["weak_residual"] is None
     assert reason in summary["weak_residual_error"]
-    assert sorted(p.name for p in (out / "profiles").iterdir()) == [
-        "mode_+0_v3.csv", "mode_+0_vr.csv", "mode_+0_vt.csv"]
+    assert sorted(os.listdir(out)) == ARTIFACTS
+    assert np.load(out / "profiles.npy").shape[:2] == (1, 3)
